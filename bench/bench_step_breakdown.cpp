@@ -39,6 +39,7 @@
 #include "util/timer.hpp"
 
 using namespace minivpic;
+using telemetry::Phase;
 
 namespace {
 
@@ -107,14 +108,19 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
             ? "in-place bin sort, every " + std::to_string(deck.sort_period) +
                   " steps"
             : "bin sort disabled (sort_every = 0)";
-    row("particle advance", t.push, "the paper's 0.488 Pflop/s inner loop");
-    row("interpolator load", t.interpolate, "per-cell field coefficients");
-    row("migration", t.migrate, "inter-rank exchange (1 rank: bookkeeping)");
-    row("sort", t.sort, sort_note.c_str());
-    row("pipeline reduce", t.reduce, "fold per-pipeline accumulator blocks");
-    row("source reduction", t.sources, "accumulator unload + halo fold");
-    row("field solve", t.field, "B/E/B Yee update + ghost refresh");
-    row("divergence clean", t.clean, "Marder passes, every 50 steps");
+    row("particle advance", t[Phase::kPush],
+        "the paper's 0.488 Pflop/s inner loop");
+    row("interpolator load", t[Phase::kInterpolate],
+        "per-cell field coefficients");
+    row("migration", t[Phase::kMigrate],
+        "inter-rank exchange (1 rank: bookkeeping)");
+    row("sort", t[Phase::kSort], sort_note.c_str());
+    row("pipeline reduce", t[Phase::kReduce],
+        "fold per-pipeline accumulator blocks");
+    row("source reduction", t[Phase::kSources],
+        "source setup, accumulator unload + halo fold");
+    row("field solve", t[Phase::kField], "B/E/B Yee update + ghost refresh");
+    row("divergence clean", t[Phase::kClean], "Marder passes, every 50 steps");
     table.add_row({std::string("TOTAL"), total, 100.0, std::string("")});
     table.print(std::cout, "T2: step cost breakdown (LPI deck, " +
                                std::to_string(steps) + " steps, " +
@@ -128,13 +134,13 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
     const std::int64_t pushed = timed.particle_stats().pushed;
     std::cout << "\npush rate: "
               << telemetry::StepSampler::particles_per_second(
-                     pushed, t.push.total_seconds()) /
+                     pushed, t[Phase::kPush].total_seconds()) /
                      1e6
               << " M particles/s; sustained (whole step): "
               << telemetry::StepSampler::push_gflops(pushed, total)
               << " Gflop/s s.p. on this host\n";
     std::cout << "inner-loop share of step: "
-              << 100.0 * t.push.total_seconds() / total
+              << 100.0 * t[Phase::kPush].total_seconds() / total
               << "%  (paper: 0.374/0.488 = 77%)\n";
   }
 
@@ -142,12 +148,12 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
   pt.pipelines = timed.pipelines();
   pt.kernel = particles::kernel_name(timed.kernel());
   pt.sort_every = deck.sort_period;
-  pt.push_seconds = t.push.total_seconds();
-  pt.sort_seconds = t.sort.total_seconds();
-  pt.reduce_seconds = t.reduce.total_seconds();
+  pt.push_seconds = t[Phase::kPush].total_seconds();
+  pt.sort_seconds = t[Phase::kSort].total_seconds();
+  pt.reduce_seconds = t[Phase::kReduce].total_seconds();
   pt.step_seconds = total;
   pt.push_rate = telemetry::StepSampler::particles_per_second(
-      timed.particle_stats().pushed, t.push.total_seconds());
+      timed.particle_stats().pushed, t[Phase::kPush].total_seconds());
   pt.sample = telemetry::StepSampler::derive_total(timed, wall_seconds);
   return pt;
 }

@@ -99,10 +99,10 @@ Point measure(int ranks, bool overlap, int steps) {
     // Barriered: the migrate phase is the whole exchange, all of it
     // exposed. Overlapped: the migrate phase is only the join wait; the
     // worker's wall time is the full exchange.
-    comm_s[r] = ov.enabled ? ov.comm_seconds
-                           : sim.timings().migrate.total_seconds();
-    exposed_s[r] = ov.enabled ? ov.exposed_seconds
-                              : sim.timings().migrate.total_seconds();
+    const double migrate_s =
+        sim.timings()[telemetry::Phase::kMigrate].total_seconds();
+    comm_s[r] = ov.enabled ? ov.comm_seconds : migrate_s;
+    exposed_s[r] = ov.enabled ? ov.exposed_seconds : migrate_s;
     hidden_s[r] = ov.hidden_seconds;
     tot_s[r] = sim.timings().total_seconds();
     migrated[r] = sim.particle_stats().migrated;

@@ -73,9 +73,9 @@ int main() {
       comm.barrier();
       if (comm.rank() == 0) wall_s = wall.seconds();
       RankResult r;
-      r.push_s = sim.timings().push.total_seconds();
-      r.comm_s = sim.timings().migrate.total_seconds() +
-                 sim.timings().sources.total_seconds();
+      r.push_s = sim.timings()[telemetry::Phase::kPush].total_seconds();
+      r.comm_s = sim.timings()[telemetry::Phase::kMigrate].total_seconds() +
+                 sim.timings()[telemetry::Phase::kSources].total_seconds();
       r.total_s = sim.timings().total_seconds();
       r.pushed = sim.particle_stats().pushed;
       results[std::size_t(comm.rank())] = r;  // distinct slots: no race

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/phase.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"

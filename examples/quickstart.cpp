@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
   //    keeps it at single-precision round-off.
   std::cout << "\nGauss residual (rms div E - rho): " << sim.gauss_error()
             << "\n";
+  const double push_s = sim.timings()[telemetry::Phase::kPush].total_seconds();
   std::cout << "particles pushed: " << sim.particle_stats().pushed << ", in "
-            << sim.timings().push.total_seconds() << " s ("
-            << double(sim.particle_stats().pushed) /
-                   sim.timings().push.total_seconds() / 1e6
+            << push_s << " s ("
+            << double(sim.particle_stats().pushed) / push_s / 1e6
             << " M particles/s)\n";
   return 0;
 }

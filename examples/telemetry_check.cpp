@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/phase.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
@@ -34,16 +35,20 @@ using telemetry::Json;
 namespace {
 
 /// Metric names every step_sample record must carry (subset of the
-/// catalogue; see docs/OBSERVABILITY.md).
-const std::vector<std::string> kRequiredMetrics = {
-    "phase.interpolate.s", "phase.push.s",      "phase.migrate.s",
-    "phase.sort.s",        "phase.reduce.s",    "phase.sources.s",
-    "phase.field.s",       "phase.clean.s",     "phase.collide.s",
-    "step.s",              "particles.pushed",  "push.rate",
-    "push.gflops",         "push.gbytes_per_s", "pipeline.count",
-    "pipeline.imbalance",  "push.lane_width",   "particles.local",
-    "pipeline.busy.s",     "load.imbalance",
-};
+/// catalogue; see docs/OBSERVABILITY.md): one `phase.<p>.s` per timed
+/// phase of the phase table, then the headline derived metrics.
+std::vector<std::string> required_metrics() {
+  std::vector<std::string> names;
+  for (const telemetry::PhaseInfo& p : telemetry::kPhases)
+    if (p.timed) names.push_back("phase." + std::string(p.name) + ".s");
+  for (const char* name :
+       {"step.s", "particles.pushed", "push.rate", "push.gflops",
+        "push.gbytes_per_s", "pipeline.count", "pipeline.imbalance",
+        "push.lane_width", "particles.local", "pipeline.busy.s",
+        "load.imbalance"})
+    names.push_back(name);
+  return names;
+}
 
 int check_metrics(const std::string& path) {
   std::ifstream is(path);
@@ -61,6 +66,7 @@ int check_metrics(const std::string& path) {
   while (std::getline(is, line)) lines.push_back(line);
   std::int64_t lineno = 0, samples = 0, partial = 0;
   bool saw_meta = false;
+  const std::vector<std::string> required = required_metrics();
   for (std::size_t li = 0; li < lines.size(); ++li) {
     line = lines[li];
     const bool last = li + 1 == lines.size();
@@ -102,7 +108,7 @@ int check_metrics(const std::string& path) {
       rec.at("step").as_number();
       rec.at("t").as_number();
       const Json& metrics = rec.at("metrics");
-      for (const std::string& name : kRequiredMetrics) {
+      for (const std::string& name : required) {
         const Json* m = metrics.find(name);
         if (m == nullptr) {
           if (last) throw Error("truncated final record");

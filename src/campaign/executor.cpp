@@ -39,18 +39,15 @@ CampaignExecutor::CampaignExecutor(const CampaignSpec& spec,
                 << config_.ranks_per_job << " rank(s) x "
                 << config_.pipelines_per_job << " pipeline(s))";
   }
-  // Pre-register every campaign metric on the caller's thread: registry
-  // lookup/creation is not thread-safe, so workers only touch existing
-  // Counter/Gauge objects (under metrics_mu_).
+  // Pre-register every campaign metric so scalars() and the metrics dump
+  // list them in this order, whichever a worker touches first.
   if (config_.metrics != nullptr) {
     auto& m = *config_.metrics;
-    m.counter("campaign.jobs.done", "count");
-    m.counter("campaign.jobs.failed", "count");
-    m.counter("campaign.jobs.skipped", "count");
-    m.counter("campaign.failures", "count");
-    m.counter("campaign.retries", "count");
-    m.counter("campaign.resumes", "count");
-    m.counter("campaign.steps", "count");
+    for (const char* counter :
+         {"campaign.jobs.done", "campaign.jobs.failed", "campaign.jobs.skipped",
+          "campaign.failures", "campaign.retries", "campaign.resumes",
+          "campaign.steps"})
+      m.counter(counter, "count");
     m.gauge("campaign.queue.depth", "count");
     m.gauge("campaign.workers", "count");
   }
@@ -60,21 +57,13 @@ std::string CampaignExecutor::scratch_prefix(const Job& job) const {
   return config_.scratch_dir + "/campaign_" + job.id + ".ckpt";
 }
 
-std::mutex& CampaignExecutor::metrics_lock() {
-  return config_.metrics_mutex != nullptr ? *config_.metrics_mutex
-                                          : metrics_mu_;
-}
-
 void CampaignExecutor::count(const char* counter, double d) {
-  if (config_.metrics == nullptr) return;
-  std::lock_guard<std::mutex> lock(metrics_lock());
-  config_.metrics->counter(counter).add(d);
+  if (config_.metrics != nullptr) config_.metrics->counter(counter).add(d);
 }
 
 void CampaignExecutor::set_queue_gauge(const JobQueue& queue) {
   if (config_.metrics == nullptr) return;
   const JobQueue::Counts c = queue.counts();
-  std::lock_guard<std::mutex> lock(metrics_lock());
   config_.metrics->gauge("campaign.queue.depth")
       .set(double(c.pending + c.running));
 }
@@ -301,10 +290,8 @@ void CampaignExecutor::start(ResultStore& results) {
   service_ = true;
   service_results_ = &results;
   service_queue_ = std::make_unique<JobQueue>(config_.retry);
-  if (config_.metrics != nullptr) {
-    std::lock_guard<std::mutex> lock(metrics_lock());
+  if (config_.metrics != nullptr)
     config_.metrics->gauge("campaign.workers").set(double(workers_));
-  }
   service_pool_.reserve(std::size_t(workers_));
   for (int w = 0; w < workers_; ++w) {
     service_pool_.emplace_back(
@@ -361,10 +348,8 @@ CampaignSummary CampaignExecutor::run(ResultStore& results) {
   const int nworkers =
       std::max(1, std::min(workers_, queue.counts().total()));
   summary.workers = nworkers;
-  if (config_.metrics != nullptr) {
-    std::lock_guard<std::mutex> lock(metrics_lock());
+  if (config_.metrics != nullptr)
     config_.metrics->gauge("campaign.workers").set(double(nworkers));
-  }
   set_queue_gauge(queue);
 
   std::vector<std::thread> pool;

@@ -61,14 +61,9 @@ struct ExecutorConfig {
   /// (detects corruption, duplication and loss; payloads untouched).
   bool comm_integrity = false;
   /// Optional campaign.* counters + queue-depth gauge sink. Must outlive
-  /// run(). Updated under an internal mutex (registries are not
-  /// thread-safe).
+  /// run(). The registry locks itself, so it may be shared with other
+  /// producers (the service layer's service.* instruments).
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// External guard for `metrics`: when the registry is shared with another
-  /// concurrent producer/reader (the service layer's service.* metrics and
-  /// its metrics endpoint), every party must serialize on ONE mutex —
-  /// point this at it. Null = the executor's internal mutex (batch mode).
-  std::mutex* metrics_mutex = nullptr;
 
   /// When non-empty, every attempt runs with per-rank flight recorders
   /// (telemetry/recorder.hpp) wired into the job's world; a failed attempt
@@ -162,13 +157,11 @@ class CampaignExecutor {
   std::string scratch_prefix(const Job& job) const;
   void count(const char* counter, double d = 1.0);
   void set_queue_gauge(const JobQueue& queue);
-  std::mutex& metrics_lock();
 
   const CampaignSpec* spec_;
   ExecutorConfig config_;
   int workers_ = 1;
 
-  std::mutex metrics_mu_;           ///< guards config_.metrics (no override)
   std::mutex seconds_mu_;           ///< guards seconds_acc_
   std::map<std::string, double> seconds_acc_;  ///< wall seconds per job id
 

@@ -15,6 +15,21 @@ using campaign::JobResult;
 using telemetry::FdrKind;
 using telemetry::Json;
 
+namespace {
+
+// Instrument updates; every instrument is null when no registry is attached.
+void count(telemetry::Counter* counter, double d = 1.0) {
+  if (counter != nullptr) counter->add(d);
+}
+void set(telemetry::Gauge* gauge, double v) {
+  if (gauge != nullptr) gauge->set(v);
+}
+void observe(telemetry::SharedHistogram* histogram, double seconds) {
+  if (histogram != nullptr) histogram->add(seconds);
+}
+
+}  // namespace
+
 ServiceServer::ServiceServer(const campaign::CampaignSpec& spec,
                              campaign::ResultStore& results,
                              campaign::ExecutorConfig exec,
@@ -24,24 +39,26 @@ ServiceServer::ServiceServer(const campaign::CampaignSpec& spec,
       config_(std::move(config)),
       metrics_(exec.metrics),
       scheduler_(config_.max_queued, config_.drr_quantum) {
-  // Pre-register every service.* instrument before any thread exists —
-  // MetricsRegistry is not thread-safe for registration, so all lookups
-  // after this point hit existing entries under registry_mu_.
+  // Register every service.* instrument up front — which fixes the order
+  // of scalars() and the metrics dump — and keep the handles.
   if (metrics_ != nullptr) {
-    metrics_->counter("service.submissions", "count");
-    metrics_->counter("service.cache_hits", "count");
-    metrics_->counter("service.coalesced", "count");
-    metrics_->counter("service.rejections", "count");
-    metrics_->counter("service.invalid", "count");
-    metrics_->counter("service.completed", "count");
-    metrics_->counter("service.failed", "count");
-    metrics_->counter("service.disconnects", "count");
-    metrics_->gauge("service.queue_depth", "count");
-    metrics_->gauge("service.inflight", "count");
-    metrics_->histogram("service.latency.cache", 0.0, 1.0, 100, "s");
-    metrics_->histogram("service.latency.job", 0.0, 120.0, 240, "s");
+    telemetry::MetricsRegistry& m = *metrics_;
+    m_.submissions = &m.counter("service.submissions", "count");
+    m_.cache_hits = &m.counter("service.cache_hits", "count");
+    m_.coalesced = &m.counter("service.coalesced", "count");
+    m_.rejections = &m.counter("service.rejections", "count");
+    m_.invalid = &m.counter("service.invalid", "count");
+    m_.completed = &m.counter("service.completed", "count");
+    m_.failed = &m.counter("service.failed", "count");
+    m_.disconnects = &m.counter("service.disconnects", "count");
+    m_.queue_depth = &m.gauge("service.queue_depth", "count");
+    m_.inflight = &m.gauge("service.inflight", "count");
+    // 10 us bins over [0, 20 ms): a ~0.1 ms cache hit resolves, and the
+    // multi-millisecond bursts under load still land inside the range.
+    m_.latency_cache =
+        &m.histogram("service.latency.cache", 0.0, 0.02, 2000, "s");
+    m_.latency_job = &m.histogram("service.latency.job", 0.0, 120.0, 240, "s");
   }
-  exec.metrics_mutex = &registry_mu_;
   exec.on_result = [this](const JobResult& r) { handle_result(r); };
   executor_ = std::make_unique<campaign::CampaignExecutor>(spec, exec);
   listener_ = std::make_unique<TcpListener>(config_.port);
@@ -49,18 +66,6 @@ ServiceServer::ServiceServer(const campaign::CampaignSpec& spec,
 
 ServiceServer::~ServiceServer() {
   if (started_ && !drained_) drain();
-}
-
-void ServiceServer::count(const char* name, double d) {
-  if (metrics_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  metrics_->counter(name).add(d);
-}
-
-void ServiceServer::observe_latency(const char* histogram, double seconds) {
-  if (metrics_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  metrics_->histogram(histogram, 0.0, 1.0, 1).add(seconds);
 }
 
 void ServiceServer::fdr(FdrKind kind, std::uint16_t code, std::uint64_t arg) {
@@ -139,7 +144,7 @@ void ServiceServer::session(int fd) {
         return;
       case ReadStatus::kTimeout:
         conn.send_line(make_error_response("read deadline exceeded").dump());
-        count("service.disconnects");
+        count(m_.disconnects);
         return;
       case ReadStatus::kOverflow:
         conn.send_line(
@@ -147,7 +152,7 @@ void ServiceServer::session(int fd) {
                                 std::to_string(config_.max_line_bytes) +
                                 " bytes")
                 .dump());
-        count("service.disconnects");
+        count(m_.disconnects);
         return;
       case ReadStatus::kStopped:
       case ReadStatus::kError:
@@ -163,7 +168,7 @@ void ServiceServer::handle_request(TcpConn& conn, const std::string& line) {
   try {
     req = parse_request(line);
   } catch (const Error& e) {
-    count("service.invalid");
+    count(m_.invalid);
     conn.send_line(make_error_response(e.what()).dump());
     return;
   }
@@ -187,7 +192,7 @@ void ServiceServer::handle_request(TcpConn& conn, const std::string& line) {
 
 void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
   const double t0 = epoch_.seconds();
-  count("service.submissions");
+  count(m_.submissions);
 
   // Build and validate the job before touching any shared state, so a bad
   // deck costs one error line, not a queue slot.
@@ -211,7 +216,7 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
     job.label = label.empty() ? "base" : label;
     (void)spec_->make_deck(job);  // full validation: unknown keys throw here
   } catch (const Error& e) {
-    count("service.invalid");
+    count(m_.invalid);
     conn.send_line(make_error_response(e.what()).dump());
     return;
   }
@@ -219,8 +224,8 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
   // Ledger cache: a done record with this content hash answers instantly.
   if (const auto cached = results_->find(job.id);
       cached && cached->status == "done") {
-    count("service.cache_hits");
-    observe_latency("service.latency.cache", epoch_.seconds() - t0);
+    count(m_.cache_hits);
+    observe(m_.latency_cache, epoch_.seconds() - t0);
     conn.send_line(make_result_response(*cached, "cache").dump());
     return;
   }
@@ -234,10 +239,10 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
   const auto it = inflight_.find(job.id);
   if (it != inflight_.end() && !it->second.terminal) {
     // Duplicate of an accepted-but-unfinished job: attach, don't re-run.
-    count("service.coalesced");
+    count(m_.coalesced);
   } else if (draining_) {
     lock.unlock();
-    count("service.rejections");
+    count(m_.rejections);
     conn.send_line(
         make_rejected_response(job.id, "server draining", 5.0).dump());
     return;
@@ -251,7 +256,7 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
           1.0, ewma_job_seconds_ * double(scheduler_.depth()) /
                    double(std::max(1, executor_->effective_workers())));
       lock.unlock();
-      count("service.rejections");
+      count(m_.rejections);
       conn.send_line(
           make_rejected_response(job.id, "queue full", retry).dump());
       return;
@@ -266,11 +271,8 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
     inf.accept_seconds = t0;
     inf.client = req.client;
     inf.priority = req.priority;
-    if (metrics_ != nullptr) {
-      std::lock_guard<std::mutex> mlock(registry_mu_);
-      metrics_->gauge("service.queue_depth").set(double(scheduler_.depth()));
-      metrics_->gauge("service.inflight").set(double(inflight_.size()));
-    }
+    set(m_.queue_depth, double(scheduler_.depth()));
+    set(m_.inflight, double(inflight_.size()));
     fdr(FdrKind::kServiceAccept, 0, std::uint64_t(scheduler_.depth()));
     cv_.notify_all();  // wake the dispatcher
   }
@@ -300,10 +302,7 @@ void ServiceServer::handle_submit(TcpConn& conn, const SubmitRequest& req) {
       r = done->second.result;
       if (done->second.waiters == 0) {
         inflight_.erase(done);  // the ledger serves any later duplicate
-        if (metrics_ != nullptr) {
-          std::lock_guard<std::mutex> mlock(registry_mu_);
-          metrics_->gauge("service.inflight").set(double(inflight_.size()));
-        }
+        set(m_.inflight, double(inflight_.size()));
       }
     }
   }
@@ -339,10 +338,7 @@ void ServiceServer::dispatch_loop() {
     auto next = scheduler_.next();
     if (!next) continue;
     fdr(FdrKind::kServiceDispatch);
-    if (metrics_ != nullptr) {
-      std::lock_guard<std::mutex> mlock(registry_mu_);
-      metrics_->gauge("service.queue_depth").set(double(scheduler_.depth()));
-    }
+    set(m_.queue_depth, double(scheduler_.depth()));
     executor_->submit(next->job, next->resume_step, next->resume_prefix);
   }
 }
@@ -364,14 +360,9 @@ void ServiceServer::handle_result(const JobResult& r) {
     // it now — inflight_ tracks actual in-flight work, not every id ever
     // seen, and the gauge below stays meaningful in a long-lived daemon.
     if (inf.waiters == 0) inflight_.erase(r.id);
-    if (metrics_ != nullptr) {
-      std::lock_guard<std::mutex> mlock(registry_mu_);
-      metrics_->counter(r.status == "done" ? "service.completed"
-                                           : "service.failed")
-          .add(1.0);
-      metrics_->histogram("service.latency.job", 0, 1, 1).add(latency);
-      metrics_->gauge("service.inflight").set(double(inflight_.size()));
-    }
+    count(r.status == "done" ? m_.completed : m_.failed);
+    observe(m_.latency_job, latency);
+    set(m_.inflight, double(inflight_.size()));
     fdr(FdrKind::kServiceComplete, r.status == "done" ? 0 : 1);
   }
   cv_.notify_all();
@@ -400,15 +391,16 @@ telemetry::Json ServiceServer::metrics_json() {
   j.set("type", Json::string("metrics"));
   Json vals = Json::object();
   if (metrics_ != nullptr) {
-    std::lock_guard<std::mutex> lock(registry_mu_);
     for (const telemetry::ScalarMetric& m : metrics_->scalars())
       vals.set(m.name, Json::number(m.value));
-    for (const char* h : {"service.latency.cache", "service.latency.job"}) {
-      if (const auto* hist = metrics_->find_histogram(h);
-          hist != nullptr && hist->total_count() > 0) {
-        vals.set(std::string(h) + ".p50", Json::number(hist->quantile(0.5)));
-        vals.set(std::string(h) + ".p99", Json::number(hist->quantile(0.99)));
-      }
+    const std::pair<const char*, telemetry::SharedHistogram*> latencies[] = {
+        {"service.latency.cache", m_.latency_cache},
+        {"service.latency.job", m_.latency_job}};
+    for (const auto& [name, histogram] : latencies) {
+      const telemetry::MetricHistogram h = histogram->snapshot();
+      if (h.total_count() == 0) continue;
+      vals.set(std::string(name) + ".p50", Json::number(h.quantile(0.5)));
+      vals.set(std::string(name) + ".p99", Json::number(h.quantile(0.99)));
     }
   }
   j.set("values", std::move(vals));

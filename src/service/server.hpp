@@ -14,9 +14,8 @@
 // scheduling order stays the scheduler's call), plus the executor's own
 // workers. All shared state — scheduler, in-flight map, drain flags — lives
 // under one mutex `mu_`; the metrics registry, which the executor's workers
-// also touch, is guarded by the separate `registry_mu_` that
-// ExecutorConfig::metrics_mutex shares with them. No thread ever writes to
-// a socket while holding `mu_`: send() can block indefinitely on a peer
+// also touch, locks itself. No thread ever writes to a socket while
+// holding `mu_`: send() can block indefinitely on a peer
 // that stops reading, and a blocked send under the global lock would wedge
 // the dispatcher, every other session, and drain() itself. Responses are
 // built under the lock and sent after unlocking; a send timeout bounds even
@@ -74,7 +73,7 @@ class ServiceServer {
   /// `spec` contributes the base deck, default step count and probe config;
   /// `results` is the shared ledger (cache source of truth); `exec` is the
   /// worker-pool shape — its metrics registry (if any) gains the service.*
-  /// instruments and is shared TSan-cleanly via metrics_mutex. The socket
+  /// instruments alongside the executor's campaign.* set. The socket
   /// binds in the constructor so port() is valid immediately; no thread
   /// runs until start().
   ServiceServer(const campaign::CampaignSpec& spec,
@@ -128,8 +127,6 @@ class ServiceServer {
   telemetry::Json metrics_json();
   void persist_queue_state(const std::vector<QueuedJob>& queued);
   void load_queue_state();
-  void count(const char* name, double d = 1.0);
-  void observe_latency(const char* histogram, double seconds);
   void fdr(telemetry::FdrKind kind, std::uint16_t code = 0,
            std::uint64_t arg = 0);
 
@@ -138,9 +135,15 @@ class ServiceServer {
   ServerConfig config_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
 
-  /// Shared guard for `metrics_` — ExecutorConfig::metrics_mutex points
-  /// here, so executor workers and server threads serialize on one lock.
-  std::mutex registry_mu_;
+  /// The service.* instruments, resolved once at construction (all null
+  /// without a registry); each is safe to update from any thread.
+  struct Instruments {
+    telemetry::Counter *submissions, *cache_hits, *coalesced, *rejections,
+        *invalid, *completed, *failed, *disconnects;
+    telemetry::Gauge *queue_depth, *inflight;
+    telemetry::SharedHistogram *latency_cache, *latency_job;
+  };
+  Instruments m_{};
 
   std::unique_ptr<campaign::CampaignExecutor> executor_;
   std::unique_ptr<TcpListener> listener_;

@@ -73,8 +73,7 @@ void RecoveryCoordinator::push_metric_deltas(
 RecoveryReport RecoveryCoordinator::run(std::int64_t steps) {
   MV_REQUIRE(steps >= 0, "step count must be >= 0, got " << steps);
 
-  // Register every metric up front (the registry is not thread-safe; all
-  // mutation below happens on this thread between worlds).
+  // Register every metric up front, which fixes their order in the dump.
   if (config_.metrics != nullptr) {
     config_.metrics->counter("comm.faults_injected", "count");
     config_.metrics->counter("comm.faults_detected", "count");

@@ -5,10 +5,11 @@
 
 #include "particles/collisions.hpp"
 #include "particles/rho.hpp"
-#include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
 namespace minivpic::sim {
+
+using telemetry::Phase;
 
 namespace {
 
@@ -129,28 +130,29 @@ void Simulation::initialize() {
 void Simulation::step() {
   MV_REQUIRE(initialized_, "initialize() must be called before step()");
 
-  // Every phase below is timed into timings_ AND mirrored as a nested
-  // Chrome-trace span when a TraceWriter is attached (telemetry::PhaseSpan
-  // degrades to a plain ScopedLap plus one pointer test when trace_ is
-  // null — the disabled-sink overhead the OBSERVABILITY doc quantifies).
-  telemetry::ScopedSpan step_span(trace_, "step");
-  // The flight recorder gets the same timeline: a step-boundary event plus
-  // begin/end pairs for every phase below (ride in the same PhaseSpan).
+  // Every phase below runs under a telemetry::PhaseProbe, which times it
+  // into timings_ and mirrors it to the trace and the flight recorder (one
+  // pointer test per detached sink); the recorder also gets a step marker.
   if (recorder_ != nullptr) {
     recorder_->set_step(step_);
     recorder_->record(telemetry::FdrKind::kStep, 0, -1,
                       static_cast<std::uint64_t>(step_));
   }
-  telemetry::RecordedPhase step_record(recorder_, telemetry::kFdrPhaseStep);
+  const auto step_probe = probe(Phase::kStep);
 
   {
-    telemetry::PhaseSpan lap(timings_.interpolate, trace_, "interpolate", recorder_, telemetry::kFdrPhaseInterpolate);
+    const auto lap = probe(Phase::kInterpolate);
     interp_.load(fields_);
   }
 
-  acc_.clear();
-  fields_.clear_sources();
-  if (antenna_) antenna_->deposit(fields_, time_);
+  {
+    // Source setup is sources-phase work too: its second half (accumulator
+    // unload + halo fold) runs after the push below.
+    const auto lap = probe(Phase::kSources);
+    acc_.clear();
+    fields_.clear_sources();
+    if (antenna_) antenna_->deposit(fields_, time_);
+  }
 
   const bool clean_now =
       deck_.clean_period > 0 && (step_ + 1) % deck_.clean_period == 0;
@@ -183,35 +185,27 @@ void Simulation::step() {
     double comm_dt = 0;  // async exchange wall time (worker writes, we
                          // read after the join)
     {
-      telemetry::PhaseSpan lap(timings_.push, trace_, "push", recorder_, telemetry::kFdrPhasePush);
+      const auto push_probe = probe(Phase::kPush);
       {
-        telemetry::ScopedSpan span(trace_, "push.skin");
-        telemetry::RecordedPhase rec(recorder_, telemetry::kFdrPhasePushSkin);
-        const Timer t;
+        const auto lap = probe(Phase::kPushSkin);
         skin = pusher_.advance_skin(sp, interp_, acc_, &pipeline_);
-        if (overlap_) overlap_stats_.skin_seconds += t.seconds();
+        if (overlap_) overlap_stats_.skin_seconds += lap.seconds();
       }
       if (overlap_) {
         comm_worker_->submit([&, this] {
           // TraceWriter and Recorder are thread-safe; the span lands on the
           // worker's own trace row, bracketing push.interior below.
-          telemetry::ScopedSpan span(trace_, "migrate.async");
-          telemetry::RecordedPhase rec(recorder_,
-                                       telemetry::kFdrPhaseMigrateAsync);
-          const Timer t;
+          const auto lap = probe(Phase::kMigrateAsync);
           mig = particles::exchange_particles(std::move(skin.res.emigrants),
                                               sp, pusher_, migrate_block,
                                               grid_, comm_, &immigrants);
-          comm_dt = t.seconds();
+          comm_dt = lap.seconds();
         });
       }
       try {
-        telemetry::ScopedSpan span(trace_, "push.interior");
-        telemetry::RecordedPhase rec(recorder_,
-                                     telemetry::kFdrPhasePushInterior);
-        const Timer t;
+        const auto lap = probe(Phase::kPushInterior);
         interior = pusher_.advance_interior(sp, interp_, acc_, &pipeline_);
-        if (overlap_) overlap_stats_.interior_seconds += t.seconds();
+        if (overlap_) overlap_stats_.interior_seconds += lap.seconds();
       } catch (...) {
         // Join the comm worker before unwinding (the interior failure is
         // primary; a concurrent exchange error is dropped) so it never
@@ -241,7 +235,7 @@ void Simulation::step() {
       // In overlapped mode this phase records only the *exposed* join wait,
       // so phase totals keep summing to step wall time; the hidden comm
       // lives in overlap_stats().
-      telemetry::PhaseSpan lap(timings_.migrate, trace_, "migrate", recorder_, telemetry::kFdrPhaseMigrate);
+      const auto lap = probe(Phase::kMigrate);
       if (overlap_) {
         const Timer t;
         comm_worker_->wait();  // rethrows a CommError from the exchange
@@ -287,7 +281,7 @@ void Simulation::step() {
     // gathers decay away from as migration shuffles the list
     // (docs/SORTING.md). The histogram pass parallelizes on the same
     // pipeline pool as the advance; collisions also require sorted lists.
-    telemetry::PhaseSpan lap(timings_.sort, trace_, "sort", recorder_, telemetry::kFdrPhaseSort);
+    const auto lap = probe(Phase::kSort);
     for (std::size_t s = 0; s < species_.size(); ++s) {
       if (!mobile_[s]) continue;
       species_[s]->sort(grid_, &pipeline_);
@@ -296,7 +290,7 @@ void Simulation::step() {
   }
 
   if (collide_now) {
-    telemetry::PhaseSpan lap(timings_.collide, trace_, "collide", recorder_, telemetry::kFdrPhaseCollide);
+    const auto lap = probe(Phase::kCollide);
     for (const auto& rc : collisions_) {
       if ((step_ + 1) % rc.period != 0) continue;
       const double dt_coll = rc.period * grid_.dt();
@@ -322,12 +316,12 @@ void Simulation::step() {
     // Fold the per-pipeline accumulator blocks into block 0 (deterministic
     // block order; see AccumulatorArray::reduce). Timed separately: this is
     // the serial cost the pipeline layer pays per step.
-    telemetry::PhaseSpan lap(timings_.reduce, trace_, "reduce", recorder_, telemetry::kFdrPhaseReduce);
+    const auto lap = probe(Phase::kReduce);
     acc_.reduce();
   }
 
   {
-    telemetry::PhaseSpan lap(timings_.sources, trace_, "sources", recorder_, telemetry::kFdrPhaseSources);
+    const auto lap = probe(Phase::kSources);
     acc_.unload(fields_);
     if (clean_now) {
       for (auto& sp : species_) particles::accumulate_rho(*sp, fields_);
@@ -336,14 +330,14 @@ void Simulation::step() {
   }
 
   {
-    telemetry::PhaseSpan lap(timings_.field, trace_, "field", recorder_, telemetry::kFdrPhaseField);
+    const auto lap = probe(Phase::kField);
     solver_.advance_b(fields_, 0.5);
     solver_.advance_e(fields_);
     solver_.advance_b(fields_, 0.5);
   }
 
   if (clean_now) {
-    telemetry::PhaseSpan lap(timings_.clean, trace_, "clean", recorder_, telemetry::kFdrPhaseClean);
+    const auto lap = probe(Phase::kClean);
     cleaner_.clean_e(fields_, deck_.clean_passes);
     cleaner_.clean_b(fields_, 1);
   }

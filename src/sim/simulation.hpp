@@ -22,41 +22,17 @@
 #include "particles/migrate.hpp"
 #include "particles/push.hpp"
 #include "sim/deck.hpp"
+#include "telemetry/phase.hpp"
 #include "util/pipeline.hpp"
-#include "util/timer.hpp"
 #include "util/worker.hpp"
 #include "vmpi/cart.hpp"
 #include "vmpi/comm.hpp"
 
-namespace minivpic::telemetry {
-class TraceWriter;  // telemetry/trace.hpp; sim depends on telemetry, not
-                    // vice versa (the sampler reads sim through inline
-                    // accessors only)
-class Recorder;     // telemetry/recorder.hpp; same layering
-}  // namespace minivpic::telemetry
-
 namespace minivpic::sim {
 
-/// Wall-clock cost of each phase of the steps taken so far.
-struct StepTimings {
-  Stopwatch interpolate;  ///< interpolator load
-  Stopwatch push;         ///< particle advance (the paper's inner loop)
-  Stopwatch migrate;      ///< inter-rank particle exchange
-  Stopwatch sort;         ///< particle sorts
-  Stopwatch reduce;       ///< pipeline accumulator-block reduction
-  Stopwatch sources;      ///< accumulator unload + halo source reduction
-  Stopwatch field;        ///< B/E advances incl. halo refresh
-  Stopwatch clean;        ///< Marder passes
-  Stopwatch collide;      ///< binary collision operator
-
-  double total_seconds() const {
-    return interpolate.total_seconds() + push.total_seconds() +
-           migrate.total_seconds() + sort.total_seconds() +
-           reduce.total_seconds() + sources.total_seconds() +
-           field.total_seconds() + clean.total_seconds() +
-           collide.total_seconds();
-  }
-};
+/// Wall-clock cost of each phase of the steps taken so far, indexed by
+/// telemetry::Phase (the phase table in telemetry/phase.hpp).
+using StepTimings = telemetry::StepTimings;
 
 /// Per-step particle statistics (summed since construction).
 struct ParticleStats {
@@ -168,6 +144,11 @@ class Simulation {
  private:
   template <typename T>
   T reduce_sum(T v) const;
+
+  /// Instruments one phase of step() into every attached sink.
+  telemetry::PhaseProbe probe(telemetry::Phase phase) {
+    return {phase, timings_, trace_, recorder_};
+  }
 
   Deck deck_;
   vmpi::Comm* comm_;

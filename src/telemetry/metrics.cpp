@@ -85,63 +85,62 @@ double MetricHistogram::quantile(double q) const {
   return hi_;
 }
 
-MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
+void SharedHistogram::add(double x, double weight) {
+  std::lock_guard<std::mutex> lock(mu_);
+  h_.add(x, weight);
+}
+
+double SharedHistogram::quantile(double q) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return h_.quantile(q);
+}
+
+MetricHistogram SharedHistogram::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return h_;
+}
+
+MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name,
+                                               Kind kind) {
   for (Entry& e : entries_) {
-    if (e.name == name) return &e;
+    if (e.name != name) continue;
+    MV_REQUIRE(e.kind == kind,
+               "metric '" << name << "' already registered with another kind");
+    return &e;
   }
   return nullptr;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& unit) {
-  if (Entry* e = find(name)) {
-    MV_REQUIRE(e->kind == Kind::kCounter,
-               "metric '" << name << "' already registered with another kind");
-    return *e->counter;
-  }
-  Entry e;
-  e.name = name;
-  e.unit = unit;
-  e.kind = Kind::kCounter;
-  e.counter = std::make_unique<Counter>();
-  entries_.push_back(std::move(e));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Entry* e = find(name, Kind::kCounter)) return *e->counter;
+  entries_.push_back({name, unit, Kind::kCounter, std::make_unique<Counter>(),
+                      nullptr, nullptr});
   return *entries_.back().counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name,
                               const std::string& unit) {
-  if (Entry* e = find(name)) {
-    MV_REQUIRE(e->kind == Kind::kGauge,
-               "metric '" << name << "' already registered with another kind");
-    return *e->gauge;
-  }
-  Entry e;
-  e.name = name;
-  e.unit = unit;
-  e.kind = Kind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
-  entries_.push_back(std::move(e));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Entry* e = find(name, Kind::kGauge)) return *e->gauge;
+  entries_.push_back({name, unit, Kind::kGauge, nullptr,
+                      std::make_unique<Gauge>(), nullptr});
   return *entries_.back().gauge;
 }
 
-MetricHistogram& MetricsRegistry::histogram(const std::string& name, double lo,
+SharedHistogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                             double hi, std::size_t bins,
                                             const std::string& unit) {
-  if (Entry* e = find(name)) {
-    MV_REQUIRE(e->kind == Kind::kHistogram,
-               "metric '" << name << "' already registered with another kind");
-    return *e->histogram;
-  }
-  Entry e;
-  e.name = name;
-  e.unit = unit;
-  e.kind = Kind::kHistogram;
-  e.histogram = std::make_unique<MetricHistogram>(lo, hi, bins);
-  entries_.push_back(std::move(e));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Entry* e = find(name, Kind::kHistogram)) return *e->histogram;
+  entries_.push_back({name, unit, Kind::kHistogram, nullptr, nullptr,
+                      std::make_unique<SharedHistogram>(lo, hi, bins)});
   return *entries_.back().histogram;
 }
 
 std::vector<ScalarMetric> MetricsRegistry::scalars() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<ScalarMetric> out;
   out.reserve(entries_.size());
   for (const Entry& e : entries_) {
@@ -152,24 +151,17 @@ std::vector<ScalarMetric> MetricsRegistry::scalars() const {
       case Kind::kGauge:
         out.push_back({e.name, e.unit, e.gauge->value()});
         break;
-      case Kind::kHistogram:
-        out.push_back({e.name + ".count", "count",
-                       e.histogram->total_count()});
-        out.push_back({e.name + ".sum", e.unit, e.histogram->sum()});
-        out.push_back({e.name + ".min", e.unit, e.histogram->min()});
-        out.push_back({e.name + ".max", e.unit, e.histogram->max()});
+      case Kind::kHistogram: {
+        const MetricHistogram h = e.histogram->snapshot();
+        out.push_back({e.name + ".count", "count", h.total_count()});
+        out.push_back({e.name + ".sum", e.unit, h.sum()});
+        out.push_back({e.name + ".min", e.unit, h.min()});
+        out.push_back({e.name + ".max", e.unit, h.max()});
         break;
+      }
     }
   }
   return out;
-}
-
-const MetricHistogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  for (const Entry& e : entries_) {
-    if (e.name == name && e.kind == Kind::kHistogram) return e.histogram.get();
-  }
-  return nullptr;
 }
 
 }  // namespace minivpic::telemetry

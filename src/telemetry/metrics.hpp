@@ -10,11 +10,17 @@
 // associatively and commutatively (bin-wise sums), so per-rank or per-shard
 // histograms can be folded in any grouping without changing the result —
 // the property test_metrics.cpp pins down.
+//
+// The registry owns its synchronisation (registration and lookup lock it,
+// counters and gauges are atomic, each histogram locks itself), so threads
+// share one registry without a lock of their own.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,22 +29,22 @@ namespace minivpic::telemetry {
 /// Monotonically accumulating value (totals: particles pushed, bytes out).
 class Counter {
  public:
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-  void reset() { value_ = 0.0; }
+  void add(double d) { value_.fetch_add(d); }
+  double value() const { return value_.load(); }
+  void reset() { value_.store(0.0); }
 
  private:
-  double value_ = 0.0;
+  std::atomic<double> value_{0.0};
 };
 
 /// Point-in-time value (rates, ratios, occupancy).
 class Gauge {
  public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
+  void set(double v) { value_.store(v); }
+  double value() const { return value_.load(); }
 
  private:
-  double value_ = 0.0;
+  std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram on [lo, hi): `bins` equal-width buckets plus
@@ -85,6 +91,22 @@ class MetricHistogram {
   bool empty_ = true;
 };
 
+/// A registry-owned MetricHistogram behind its own mutex: safe to add to
+/// and read from any thread.
+class SharedHistogram {
+ public:
+  SharedHistogram(double lo, double hi, std::size_t bins) : h_(lo, hi, bins) {}
+
+  void add(double x, double weight = 1.0);
+  double quantile(double q) const;
+  /// A consistent copy of the current state.
+  MetricHistogram snapshot() const;
+
+ private:
+  mutable std::mutex mu_;
+  MetricHistogram h_;
+};
+
 /// One flattened scalar metric (the unit of NDJSON emission and rank
 /// reduction). Units are plain strings from the catalogue in
 /// docs/OBSERVABILITY.md ("s", "1/s", "Gflop/s", "GB/s", "count", "ratio").
@@ -94,21 +116,20 @@ struct ScalarMetric {
   double value = 0.0;
 };
 
-/// Insertion-ordered registry of named metrics. Re-registering a name of
-/// the same kind returns the existing instance; a kind clash throws.
+/// Insertion-ordered registry of named metrics, safe to use from any
+/// thread; instances live as long as the registry. Re-registering a name
+/// returns the existing instance (a histogram keeps its first shape), but
+/// a kind clash throws.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const std::string& unit = "");
   Gauge& gauge(const std::string& name, const std::string& unit = "");
-  MetricHistogram& histogram(const std::string& name, double lo, double hi,
+  SharedHistogram& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins, const std::string& unit = "");
 
   /// Flattens every metric to scalars in registration order. A histogram
   /// contributes `<name>.count`, `<name>.sum`, `<name>.min`, `<name>.max`.
   std::vector<ScalarMetric> scalars() const;
-
-  const MetricHistogram* find_histogram(const std::string& name) const;
-  std::size_t size() const { return entries_.size(); }
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -118,10 +139,13 @@ class MetricsRegistry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<MetricHistogram> histogram;
+    std::unique_ptr<SharedHistogram> histogram;
   };
-  Entry* find(const std::string& name);
+  /// The entry named `name` (null if absent); throws when it has another
+  /// kind. Caller holds mu_.
+  Entry* find(const std::string& name, Kind kind);
 
+  mutable std::mutex mu_;
   std::vector<Entry> entries_;
 };
 

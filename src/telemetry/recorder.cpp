@@ -68,25 +68,6 @@ void crash_handler(int sig) {
 
 }  // namespace
 
-const char* fdr_phase_name(std::uint16_t phase) {
-  switch (phase) {
-    case kFdrPhaseStep: return "step";
-    case kFdrPhaseInterpolate: return "interpolate";
-    case kFdrPhasePush: return "push";
-    case kFdrPhaseMigrate: return "migrate";
-    case kFdrPhaseSort: return "sort";
-    case kFdrPhaseReduce: return "reduce";
-    case kFdrPhaseSources: return "sources";
-    case kFdrPhaseField: return "field";
-    case kFdrPhaseClean: return "clean";
-    case kFdrPhaseCollide: return "collide";
-    case kFdrPhasePushSkin: return "push.skin";
-    case kFdrPhasePushInterior: return "push.interior";
-    case kFdrPhaseMigrateAsync: return "migrate.async";
-    default: return "phase?";
-  }
-}
-
 const char* fdr_kind_name(FdrKind kind) {
   switch (kind) {
     case FdrKind::kNone: return "none";

@@ -34,7 +34,7 @@ namespace minivpic::telemetry {
 /// kinds, never renumber.
 enum class FdrKind : std::uint16_t {
   kNone = 0,
-  kPhaseBegin = 1,   ///< code = phase id (see fdr_phase_name)
+  kPhaseBegin = 1,   ///< code = telemetry::Phase (phase.hpp)
   kPhaseEnd = 2,     ///< code = phase id
   kStep = 3,         ///< step boundary; arg = step index
   kCommSend = 4,     ///< peer = destination, arg = payload bytes
@@ -63,30 +63,6 @@ enum class FdrDumpReason : std::uint16_t {
   kExit = 5,        ///< normal exit, dump requested
 };
 
-/// Phase ids for kPhaseBegin/kPhaseEnd, matching StepTimings order with 0
-/// reserved for the whole step. Part of the on-disk format — append new
-/// phases, never renumber. 10-12 are the overlap scheduler's sub-phases
-/// (docs/OVERLAP.md): push.skin and push.interior nest inside kFdrPhasePush,
-/// and kFdrPhaseMigrateAsync is recorded from the comm worker thread, so an
-/// overlapped step shows it bracketing push.interior — the concurrency is
-/// visible right in the black box.
-enum FdrPhase : std::uint16_t {
-  kFdrPhaseStep = 0,
-  kFdrPhaseInterpolate = 1,
-  kFdrPhasePush = 2,
-  kFdrPhaseMigrate = 3,
-  kFdrPhaseSort = 4,
-  kFdrPhaseReduce = 5,
-  kFdrPhaseSources = 6,
-  kFdrPhaseField = 7,
-  kFdrPhaseClean = 8,
-  kFdrPhaseCollide = 9,
-  kFdrPhasePushSkin = 10,
-  kFdrPhasePushInterior = 11,
-  kFdrPhaseMigrateAsync = 12,
-};
-
-const char* fdr_phase_name(std::uint16_t phase);  ///< "step", "push", ...
 const char* fdr_kind_name(FdrKind kind);          ///< "phase_begin", ...
 const char* fdr_dump_reason_name(FdrDumpReason reason);
 
@@ -176,27 +152,6 @@ class Recorder {
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::int64_t> step_{-1};
   int crash_slot_ = -1;  ///< index in the global registry, -1 = none
-};
-
-/// RAII phase marker: records kPhaseBegin/kPhaseEnd around a scope. A null
-/// recorder makes both ends no-ops (the disabled fast path, one pointer
-/// test like ScopedSpan).
-class RecordedPhase {
- public:
-  RecordedPhase(Recorder* recorder, std::uint16_t phase) noexcept
-      : recorder_(recorder), phase_(phase) {
-    if (recorder_ != nullptr)
-      recorder_->record(FdrKind::kPhaseBegin, phase_);
-  }
-  ~RecordedPhase() {
-    if (recorder_ != nullptr) recorder_->record(FdrKind::kPhaseEnd, phase_);
-  }
-  RecordedPhase(const RecordedPhase&) = delete;
-  RecordedPhase& operator=(const RecordedPhase&) = delete;
-
- private:
-  Recorder* recorder_;
-  std::uint16_t phase_;
 };
 
 // -- crash-dump registry (async-signal-safe) --------------------------------

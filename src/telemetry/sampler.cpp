@@ -7,17 +7,6 @@
 
 namespace minivpic::telemetry {
 
-namespace {
-
-/// StepTimings phase names, in struct order. This order is part of the
-/// NDJSON schema (docs/OBSERVABILITY.md) — append, never reorder.
-constexpr const char* kPhaseNames[9] = {
-    "interpolate", "push",  "migrate", "sort",    "reduce",
-    "sources",     "field", "clean",   "collide",
-};
-
-}  // namespace
-
 std::vector<ScalarMetric> StepSample::scalars() const {
   std::vector<ScalarMetric> out;
   out.reserve(32);
@@ -67,11 +56,7 @@ StepSampler::StepSampler(const sim::Simulation& sim)
 StepSampler::Snapshot StepSampler::capture(const sim::Simulation& sim) {
   Snapshot s;
   s.step = sim.step_index();
-  const sim::StepTimings& t = sim.timings();
-  const Stopwatch* watches[9] = {&t.interpolate, &t.push,  &t.migrate,
-                                 &t.sort,        &t.reduce, &t.sources,
-                                 &t.field,       &t.clean,  &t.collide};
-  for (int i = 0; i < 9; ++i) s.phases[i] = watches[i]->total_seconds();
+  s.timings = sim.timings();
   s.stats = sim.particle_stats();
   s.overlap = sim.overlap_stats();
   s.pipeline_busy = sim.pipeline_busy_seconds();
@@ -107,9 +92,15 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
   s.sim_time = sim.time();
   s.wall_seconds = wall_seconds;
 
-  for (int i = 0; i < 9; ++i) {
-    const double dt = std::max(0.0, to.phases[i] - from.phases[i]);
-    s.phase_seconds.emplace_back(kPhaseNames[i], dt);
+  const auto phase_delta = [&](Phase p) {
+    return std::max(0.0, to.timings[p].total_seconds() -
+                             from.timings[p].total_seconds());
+  };
+  // The NDJSON phase keys: the timed phases, in phase-table order.
+  for (std::size_t p = 0; p < kNumPhases; ++p) {
+    if (!kPhases[p].timed) continue;
+    const double dt = phase_delta(Phase(p));
+    s.phase_seconds.emplace_back(kPhases[p].name, dt);
     s.step_seconds += dt;
   }
 
@@ -140,10 +131,10 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
   // Sort rate: particles bin-sorted per second of sort-phase time. Zero in
   // intervals where the periodic sort never fired (the common case between
   // sort_every boundaries), so time series show the sort's duty cycle.
-  s.sort_seconds = s.phase_seconds[3].second;
+  s.sort_seconds = phase_delta(Phase::kSort);
   s.sort_rate = particles_per_second(s.sorted, s.sort_seconds);
 
-  s.push_seconds = s.phase_seconds[1].second;
+  s.push_seconds = phase_delta(Phase::kPush);
   s.particles_per_sec = particles_per_second(s.pushed, s.push_seconds);
   s.push_gflops = push_gflops(s.pushed, s.push_seconds);
   const double ncells = double(sim.local_grid().num_cells());
@@ -152,7 +143,7 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
       push_gbytes_per_second(s.pushed, ppc, s.push_seconds);
 
   // Field solve: flops/voxel per full B/E/B update, once per step.
-  const double field_seconds = s.phase_seconds[6].second;
+  const double field_seconds = phase_delta(Phase::kField);
   const double nsteps = double(s.step_end - s.step_begin);
   if (field_seconds > 0 && nsteps > 0) {
     s.field_gflops = nsteps * double(sim.local_grid().num_cells()) *

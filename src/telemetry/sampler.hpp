@@ -34,9 +34,7 @@ struct StepSample {
   double sim_time = 0;          ///< simulation time at step_end
   double wall_seconds = 0;      ///< caller-supplied wall clock of interval
 
-  /// Per-phase seconds in StepTimings order:
-  /// interpolate, push, migrate, sort, reduce, sources, field, clean,
-  /// collide.
+  /// Seconds per timed phase, in phase-table order (telemetry/phase.hpp).
   std::vector<std::pair<std::string, double>> phase_seconds;
   double step_seconds = 0;  ///< sum of phase seconds
 
@@ -118,7 +116,7 @@ class StepSampler {
   /// no collectives).
   struct Snapshot {
     std::int64_t step = 0;
-    double phases[9] = {};  // StepTimings order
+    sim::StepTimings timings;
     sim::ParticleStats stats;
     sim::OverlapStats overlap;
     std::vector<double> pipeline_busy;

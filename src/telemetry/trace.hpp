@@ -11,19 +11,17 @@
 // viewer.
 //
 // ScopedSpan is the RAII form and tolerates a null writer, which is the
-// disabled-sink fast path: one pointer test, no clock read. PhaseSpan
-// couples a span with the Stopwatch lap the step loop already keeps, so
-// phase wall-clock totals and trace spans can never disagree.
+// disabled-sink fast path: one pointer test, no clock read. The step loop's
+// phases use telemetry::PhaseProbe (phase.hpp), which couples each span to
+// the phase's Stopwatch lap and flight-recorder events.
 #pragma once
 
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "telemetry/json.hpp"
-#include "telemetry/recorder.hpp"
 #include "util/timer.hpp"
 
 namespace minivpic::telemetry {
@@ -39,7 +37,7 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   /// Opens a duration span on the calling thread.
-  void begin(const char* name, const char* category = "step");
+  void begin(const char* name, const char* category);
   /// Closes the most recent open span on the calling thread.
   void end();
   /// Thread-scoped instant event with optional structured args.
@@ -76,8 +74,7 @@ class TraceWriter {
 /// RAII duration span; a null writer makes every operation a no-op.
 class ScopedSpan {
  public:
-  ScopedSpan(TraceWriter* writer, const char* name,
-             const char* category = "step")
+  ScopedSpan(TraceWriter* writer, const char* name, const char* category)
       : writer_(writer) {
     if (writer_ != nullptr) writer_->begin(name, category);
   }
@@ -89,24 +86,6 @@ class ScopedSpan {
 
  private:
   TraceWriter* writer_;
-};
-
-/// Times a scope into a Stopwatch (exactly like ScopedLap) and mirrors it
-/// as a trace span when a writer is attached. This is the step loop's
-/// instrumentation primitive: the Stopwatch total the benches/sampler read
-/// and the span the trace shows cover the same interval by construction.
-/// With a recorder attached the same scope also lands in the flight
-/// recorder as a phase begin/end event pair (the black box's timeline).
-class PhaseSpan {
- public:
-  PhaseSpan(Stopwatch& sw, TraceWriter* writer, const char* name,
-            Recorder* recorder = nullptr, std::uint16_t phase = 0)
-      : lap_(sw), span_(writer, name), recorded_(recorder, phase) {}
-
- private:
-  ScopedLap lap_;
-  ScopedSpan span_;
-  RecordedPhase recorded_;
 };
 
 }  // namespace minivpic::telemetry

@@ -35,6 +35,12 @@ class Stopwatch {
     running_ = false;
   }
 
+  /// Records a lap timed elsewhere (telemetry::PhaseProbe keeps its clock).
+  void add_lap(double seconds) {
+    total_ += seconds;
+    ++laps_;
+  }
+
   double total_seconds() const { return total_; }
   std::uint64_t laps() const { return laps_; }
   double mean_seconds() const { return laps_ ? total_ / double(laps_) : 0.0; }

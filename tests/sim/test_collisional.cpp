@@ -56,7 +56,8 @@ TEST(CollisionalSim, DeckDrivesIsotropization) {
   EXPECT_EQ(sim_without.particle_stats().collision_pairs, 0);
   EXPECT_LT(anisotropy(sim_with.species(0)),
             0.8 * anisotropy(sim_without.species(0)));
-  EXPECT_GT(sim_with.timings().collide.total_seconds(), 0.0);
+  EXPECT_GT(sim_with.timings()[telemetry::Phase::kCollide].total_seconds(),
+            0.0);
 }
 
 TEST(CollisionalSim, CollisionsPreserveTotalEnergyBudget) {

@@ -93,8 +93,8 @@ TEST(SimulationTest, StatsAccumulate) {
   EXPECT_EQ(st.pushed, 4 * 4 * 216);  // only mobile electrons
   EXPECT_GE(st.crossings, 0);
   EXPECT_EQ(st.absorbed, 0);
-  EXPECT_GT(sim.timings().push.total_seconds(), 0.0);
-  EXPECT_EQ(sim.timings().push.laps(), 4u);
+  EXPECT_GT(sim.timings()[telemetry::Phase::kPush].total_seconds(), 0.0);
+  EXPECT_EQ(sim.timings()[telemetry::Phase::kPush].laps(), 4u);
 }
 
 TEST(SimulationTest, GaussErrorSmallAndBounded) {

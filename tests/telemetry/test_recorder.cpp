@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "telemetry/phase.hpp"
 #include "util/error.hpp"
 #include "vmpi/config.hpp"
 
@@ -102,28 +103,39 @@ TEST(Recorder, ReadRejectsNonFdrFiles) {
   std::remove(path.c_str());
 }
 
-TEST(RecordedPhase, NullRecorderIsANoOp) {
-  RecordedPhase span(nullptr, kFdrPhasePush);  // must not crash
+TEST(PhaseProbe, NullSinksAreANoOp) {
+  StepTimings timings;
+  {
+    PhaseProbe probe(Phase::kPush, timings, nullptr, nullptr);
+    EXPECT_GE(probe.seconds(), 0.0);
+  }
+  EXPECT_EQ(timings[Phase::kPush].laps(), 1u);  // timing needs no sink
 }
 
-TEST(RecordedPhase, RecordsBalancedBeginEnd) {
+TEST(PhaseProbe, RecordsBalancedBeginEnd) {
   const std::string path = tmp_path("phase");
   Recorder rec(path, 0, 16);
+  StepTimings timings;
   {
-    RecordedPhase step(&rec, kFdrPhaseStep);
-    RecordedPhase push(&rec, kFdrPhasePush);
+    PhaseProbe step(Phase::kStep, timings, nullptr, &rec);
+    PhaseProbe push(Phase::kPush, timings, nullptr, &rec);
   }
   ASSERT_TRUE(rec.dump());
   const Recorder::Dump d = Recorder::read(path);
   ASSERT_EQ(d.events.size(), 5u);  // 2 begins + 2 ends + dump marker
+  const auto code = [](Phase p) { return std::uint16_t(p); };
   EXPECT_EQ(FdrKind(d.events[0].kind), FdrKind::kPhaseBegin);
-  EXPECT_EQ(d.events[0].code, kFdrPhaseStep);
+  EXPECT_EQ(d.events[0].code, code(Phase::kStep));
   EXPECT_EQ(FdrKind(d.events[1].kind), FdrKind::kPhaseBegin);
-  EXPECT_EQ(d.events[1].code, kFdrPhasePush);
+  EXPECT_EQ(d.events[1].code, code(Phase::kPush));
   EXPECT_EQ(FdrKind(d.events[2].kind), FdrKind::kPhaseEnd);
-  EXPECT_EQ(d.events[2].code, kFdrPhasePush);
+  EXPECT_EQ(d.events[2].code, code(Phase::kPush));
   EXPECT_EQ(FdrKind(d.events[3].kind), FdrKind::kPhaseEnd);
-  EXPECT_EQ(d.events[3].code, kFdrPhaseStep);
+  EXPECT_EQ(d.events[3].code, code(Phase::kStep));
+  EXPECT_STREQ(fdr_phase_name(d.events[1].code), "push");
+  // Only timed phases own a StepTimings slot.
+  EXPECT_EQ(timings[Phase::kPush].laps(), 1u);
+  EXPECT_EQ(timings[Phase::kStep].laps(), 0u);
   std::remove(path.c_str());
 }
 

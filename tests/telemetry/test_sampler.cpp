@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "perf/costs.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/phase.hpp"
 
 namespace minivpic::telemetry {
 namespace {
@@ -141,6 +145,30 @@ TEST(StepSamplerTest, ScalarsFollowTheCatalogue) {
   ASSERT_EQ(scalars.size(), again.size());
   for (std::size_t i = 0; i < scalars.size(); ++i)
     EXPECT_EQ(scalars[i].name, again[i].name);
+}
+
+/// The catalogue in docs/OBSERVABILITY.md cannot drift from the code: it
+/// names every phase of the phase table and every key scalars() emits.
+TEST(CatalogueTest, ObservabilityDocNamesEveryPhaseAndScalar) {
+  std::ifstream is(std::string(MINIVPIC_DOCS_DIR) + "/OBSERVABILITY.md");
+  ASSERT_TRUE(is.good());
+  std::ostringstream text;
+  text << is.rdbuf();
+  const std::string doc = text.str();
+  const auto documented = [&](const std::string& name) {
+    return doc.find("`" + name + "`") != std::string::npos;
+  };
+
+  for (const PhaseInfo& p : kPhases) EXPECT_TRUE(documented(p.name)) << p.name;
+
+  sim::Simulation sim(small_deck());
+  sim.initialize();
+  sim.run(1);
+  for (const ScalarMetric& m : StepSampler::derive_total(sim, 1.0).scalars()) {
+    // Per-phase keys are catalogued once, as the `phase.<p>.s` pattern.
+    const bool phase_key = m.name.rfind("phase.", 0) == 0;
+    EXPECT_TRUE(documented(phase_key ? "phase.<p>.s" : m.name)) << m.name;
+  }
 }
 
 }  // namespace

@@ -25,8 +25,8 @@ Json load_trace(const std::string& path) {
 
 TEST(TraceWriterTest, NullWriterSpansAreNoops) {
   // The disabled-sink path used on every un-traced run.
-  ScopedSpan a(nullptr, "anything");
-  ScopedSpan b(nullptr, "nested");
+  ScopedSpan a(nullptr, "anything", "test");
+  ScopedSpan b(nullptr, "nested", "test");
   SUCCEED();
 }
 
@@ -35,8 +35,8 @@ TEST(TraceWriterTest, WritesWellFormedDocument) {
   {
     TraceWriter w(path, /*pid=*/3);
     {
-      ScopedSpan step(&w, "step");
-      ScopedSpan push(&w, "push");
+      ScopedSpan step(&w, "step", "step");
+      ScopedSpan push(&w, "push", "step");
     }
     Json args = Json::object();
     args.set("step", Json::number(std::int64_t{7}));
@@ -72,8 +72,8 @@ TEST(TraceWriterTest, SpansBalancePerThread) {
     TraceWriter w(path, 0);
     auto worker = [&w](int laps) {
       for (int i = 0; i < laps; ++i) {
-        ScopedSpan outer(&w, "outer");
-        ScopedSpan inner(&w, "inner");
+        ScopedSpan outer(&w, "outer", "test");
+        ScopedSpan inner(&w, "inner", "test");
       }
     };
     std::vector<std::thread> threads;
@@ -108,7 +108,7 @@ TEST(TraceWriterTest, SpansBalancePerThread) {
 TEST(TraceWriterTest, CloseIsIdempotent) {
   const std::string path = temp_path("idempotent");
   TraceWriter w(path, 0);
-  { ScopedSpan s(&w, "only"); }
+  { ScopedSpan s(&w, "only", "test"); }
   w.close();
   w.close();  // second close must not rewrite or throw
   const Json doc = load_trace(path);
