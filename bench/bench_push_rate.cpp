@@ -115,7 +115,7 @@ void BM_ParticleAdvance(benchmark::State& state, int cells, int ppc,
       fx.acc.clear();
       const auto res =
           fx.pusher.advance(fx.sp, fx.interp, fx.acc, &fx.pipeline);
-      fx.acc.reduce();
+      fx.acc.reduce(&fx.pipeline);
       pushed += res.pushed;
       benchmark::DoNotOptimize(res.pushed);
     }
@@ -159,39 +159,48 @@ void BM_AccumulatorUnload(benchmark::State& state) {
 BENCHMARK(BM_AccumulatorUnload)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_AccumulatorReduce(benchmark::State& state) {
-  // The serial tax of the pipeline layer: fold N private blocks into base.
+  // What the pipeline layer pays per step for its private blocks: fold
+  // N blocks into base, on a pool of P pipelines (args: cells, N, P).
   PushFixture fx(int(state.range(0)), 1, int(state.range(1)));
+  Pipeline pool(int(state.range(2)));
   for (auto _ : state) {
-    fx.acc.reduce();
+    fx.acc.reduce(&pool);
     benchmark::DoNotOptimize(fx.acc.data());
+    benchmark::ClobberMemory();
   }
   state.counters["voxels/s"] = benchmark::Counter(
       double(state.iterations()) * double(fx.grid.num_cells()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AccumulatorReduce)
-    ->Args({16, 2})
-    ->Args({16, 8})
-    ->Args({32, 2})
-    ->Args({32, 8})
-    ->Unit(benchmark::kMicrosecond);
+    ->ArgNames({"", "", "pipelines"})
+    ->ArgsProduct({{16, 32}, {2, 8}, {1, 4}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_CountingSort(benchmark::State& state) {
   // Worst-case input each iteration: re-shuffle (untimed) so every timed
-  // sort() does a full permutation's work — post-push disorder in a real
-  // run is far milder, so this is the in-place sort's cost *ceiling*.
-  PushFixture fx(16, int(state.range(0)));
+  // sort() scatters every particle to a random bucket — post-push disorder
+  // in a real run is far milder, so this is the sort's cost *ceiling* on a
+  // pool of P pipelines (args: ppc, P).
+  PushFixture fx(16, int(state.range(0)), int(state.range(1)));
   for (auto _ : state) {
     state.PauseTiming();
     PushFixture::shuffle_particles(fx.sp);
     state.ResumeTiming();
-    fx.sp.sort(fx.grid);
+    fx.sp.sort(fx.grid, &fx.pipeline);
+    benchmark::DoNotOptimize(fx.sp.data());
+    benchmark::ClobberMemory();
   }
   state.counters["particles/s"] = benchmark::Counter(
       double(state.iterations()) * double(fx.sp.size()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CountingSort)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CountingSort)
+    ->ArgNames({"", "pipelines"})
+    ->ArgsProduct({{16, 64}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Pipeline counts to sweep: 1, 2, 4, ... up to the hardware thread count.
 std::vector<int> pipeline_sweep() {

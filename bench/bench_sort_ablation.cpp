@@ -3,7 +3,7 @@
 // accumulator arrays instead of thrashing them. Compares the push on a
 // sorted list against the same particles in shuffled (worst-case) order —
 // per advance kernel, because the SIMD gathers are exactly what decays
-// with disorder (docs/SORTING.md) — and shows the in-place sort's own cost
+// with disorder (docs/SORTING.md) — and shows the sort's own serial cost
 // for amortization.
 //
 //   --kernel=NAME   pin to one kernel: scalar|sse|avx2|avx512|auto

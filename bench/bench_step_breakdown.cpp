@@ -105,7 +105,7 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
     };
     const std::string sort_note =
         deck.sort_period > 0
-            ? "in-place bin sort, every " + std::to_string(deck.sort_period) +
+            ? "pooled bin sort, every " + std::to_string(deck.sort_period) +
                   " steps"
             : "bin sort disabled (sort_every = 0)";
     row("particle advance", t[Phase::kPush],

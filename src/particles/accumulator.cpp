@@ -1,6 +1,7 @@
 #include "particles/accumulator.hpp"
 
 #include "util/error.hpp"
+#include "util/pipeline.hpp"
 
 namespace minivpic::particles {
 
@@ -11,15 +12,27 @@ AccumulatorArray::AccumulatorArray(const grid::LocalGrid& grid, int blocks)
   MV_REQUIRE(blocks >= 1, "accumulator needs >= 1 block, got " << blocks);
 }
 
-void AccumulatorArray::reduce() {
+void AccumulatorArray::reduce(Pipeline* pipeline) {
+  if (blocks_ < 2) return;
   // Flat float streams: 16 floats per CellAccum, contiguous and aligned, so
   // the compiler can vectorize the += loop. Ascending block order keeps the
-  // per-cell addition sequence identical to the serial deposit order.
-  const std::size_t floats = voxels_ * (sizeof(CellAccum) / sizeof(float));
-  float* dst = reinterpret_cast<float*>(data_.data());
-  for (int b = 1; b < blocks_; ++b) {
-    const float* src = reinterpret_cast<const float*>(block(b));
-    for (std::size_t i = 0; i < floats; ++i) dst[i] += src[i];
+  // per-cell addition sequence identical to the serial deposit order. Each
+  // pipeline folds whole voxels, so no cache line is shared across ranges.
+  constexpr std::size_t kFloats = sizeof(CellAccum) / sizeof(float);
+  const int npipe = pipeline != nullptr ? pipeline->size() : 1;
+  const auto fold = [&](int p) {
+    const auto r = Pipeline::partition(voxels_, npipe, p);
+    float* dst = reinterpret_cast<float*>(block(0) + r.begin);
+    const std::size_t floats = r.size() * kFloats;
+    for (int b = 1; b < blocks_; ++b) {
+      const float* src = reinterpret_cast<const float*>(block(b) + r.begin);
+      for (std::size_t i = 0; i < floats; ++i) dst[i] += src[i];
+    }
+  };
+  if (pipeline != nullptr) {
+    pipeline->dispatch(fold);
+  } else {
+    fold(0);
   }
 }
 

@@ -12,15 +12,19 @@
 // For the multi-pipeline particle advance the array holds one block of
 // num_voxels entries per pipeline: each pipeline deposits into its private
 // block race-free, and reduce() folds blocks 1..B-1 into block 0 in block
-// order before unload(). Block 0 is also the target for serial depositors
-// (migration move completion, the 1-pipeline reference path), so data()
-// keeps its historical meaning.
+// order before unload(), on the step's pipeline pool. Block 0 is also the
+// target for serial depositors (migration move completion, the 1-pipeline
+// reference path), so data() keeps its historical meaning.
 #pragma once
 
 #include <span>
 
 #include "grid/fields.hpp"
 #include "util/aligned.hpp"
+
+namespace minivpic {
+class Pipeline;  // util/pipeline.hpp; reduce() runs on its pipelines
+}  // namespace minivpic
 
 namespace minivpic::particles {
 
@@ -59,8 +63,10 @@ class AccumulatorArray {
   /// times from the same later block see a different float rounding *order*
   /// than the serial running sum, so dense decks agree with serial to
   /// rounding (ULPs), not bit-for-bit. A flat vectorizable stream: 16
-  /// floats per voxel per block.
-  void reduce();
+  /// floats per voxel per block. With a pool, each pipeline folds one
+  /// contiguous voxel range; every float still gets the same additions in
+  /// the same order, so the pooled fold is bit-identical to the serial one.
+  void reduce(Pipeline* pipeline = nullptr);
 
   /// Adds the accumulated quadrant charges of block 0 onto the mesh
   /// free-current arrays (jfx += ...). Deposits reach voxel index n+1 along

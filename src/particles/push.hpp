@@ -91,9 +91,9 @@ class Pusher {
   ///
   /// With a `pipeline` pool of N > 1, `acc` must have at least N blocks;
   /// each pipeline deposits into its own block and the caller must fold
-  /// them with acc.reduce() before unload(). Without a pool (or with a
-  /// 1-pipeline pool) this is the serial reference path depositing into
-  /// block 0 on the calling thread.
+  /// them with acc.reduce(pipeline) before unload(). Without a pool (or
+  /// with a 1-pipeline pool) this is the serial reference path depositing
+  /// into block 0 on the calling thread.
   Result advance(Species& sp, const InterpolatorArray& interp,
                  AccumulatorArray& acc, Pipeline* pipeline = nullptr);
 

@@ -1,6 +1,8 @@
 #include "particles/species.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "util/error.hpp"
@@ -71,15 +73,21 @@ void Species::sort(const grid::LocalGrid& grid, Pipeline* pipeline) {
   if (np_ < 2) return;
   const std::size_t nv = std::size_t(grid.num_voxels());
   const int npipe = pipeline != nullptr ? pipeline->size() : 1;
+  const auto each_pipeline = [pipeline](const std::function<void(int)>& job) {
+    if (pipeline != nullptr) {
+      pipeline->dispatch(job);
+    } else {
+      job(0);
+    }
+  };
 
-  // Phase 1 — histogram. Each pipeline counts its static slice of the
-  // particle array into a private row, so the O(N) read of the list (the
-  // dominant cost at production particle counts) scales with the pool.
-  // The row sum is order-independent, which is what keeps the final
-  // permutation identical for every pipeline count.
-  sort_counts_.assign(std::size_t(npipe) * nv, 0);
-  const auto count_slice = [&](int p) {
-    std::int32_t* row = sort_counts_.data() + std::size_t(p) * nv;
+  // Step 1 — histogram. Each pipeline counts its contiguous slice of the
+  // list into a private row. The voxel range check runs here, before any
+  // particle moves, so a corrupt index leaves the list untouched.
+  sort_cursors_.resize(std::size_t(npipe) * nv);
+  each_pipeline([&](int p) {
+    std::size_t* row = sort_cursors_.data() + std::size_t(p) * nv;
+    std::fill_n(row, nv, std::size_t(0));
     const auto r = Pipeline::partition(np_, npipe, p);
     for (std::size_t n = r.begin; n < r.end; ++n) {
       const std::int32_t v = storage_[n].i;
@@ -87,49 +95,41 @@ void Species::sort(const grid::LocalGrid& grid, Pipeline* pipeline) {
                     "particle " << n << " has invalid voxel " << v);
       ++row[std::size_t(v)];
     }
-  };
-  if (npipe > 1) {
-    pipeline->dispatch(count_slice);
-    // Fold the private rows into row 0, each pipeline owning a voxel range.
-    pipeline->dispatch([&](int p) {
-      const auto r = Pipeline::partition(nv, npipe, p);
-      for (int q = 1; q < npipe; ++q) {
-        const std::int32_t* row = sort_counts_.data() + std::size_t(q) * nv;
-        for (std::size_t v = r.begin; v < r.end; ++v)
-          sort_counts_[v] += row[v];
-      }
-    });
-  } else {
-    count_slice(0);
-  }
+  });
 
-  // Phase 2 — exclusive prefix sum: bucket start cursors and fixed ends.
-  sort_next_.resize(nv);
-  sort_end_.resize(nv);
-  std::int64_t run = 0;
+  // Step 2 — one exclusive prefix sum in voxel-major order turns the counts
+  // into per-(voxel, pipeline) write cursors: voxel v's bucket takes
+  // pipeline 0's particles of v, then pipeline 1's, and so on. The slices
+  // are contiguous and in pipeline order, so this is arrival order.
+  std::size_t next = 0;
   for (std::size_t v = 0; v < nv; ++v) {
-    sort_next_[v] = run;
-    run += sort_counts_[v];
-    sort_end_[v] = run;
-  }
-
-  // Phase 3 — in-place cycle-chasing permutation. Every swap retires one
-  // particle into its final bucket slot, so the loop is O(N) swaps total;
-  // buckets below v are complete when bucket v starts draining. No
-  // particle-sized scratch: this is what replaced the old stable
-  // double-buffer scatter (32 B/particle of extra memory and a full copy).
-  for (std::size_t v = 0; v < nv; ++v) {
-    std::int64_t i = sort_next_[v];
-    while (i < sort_end_[v]) {
-      const std::size_t k = std::size_t(storage_[std::size_t(i)].i);
-      if (k == v) {
-        ++i;
-      } else {
-        std::swap(storage_[std::size_t(i)],
-                  storage_[std::size_t(sort_next_[k]++)]);
-      }
+    for (int p = 0; p < npipe; ++p) {
+      std::size_t& cursor = sort_cursors_[std::size_t(p) * nv + v];
+      const std::size_t count = cursor;
+      cursor = next;
+      next += count;
     }
   }
+
+  // Step 3 — scatter. Each pipeline copies its slice through its own
+  // cursors into the scratch; the cursor ranges are disjoint, so no two
+  // pipelines write the same slot. The scratch matches capacity() so the
+  // swap below never shrinks the list's room for immigrants.
+  if (sort_scratch_.size() != storage_.size())
+    sort_scratch_ = AlignedBuffer<Particle>(storage_.size());
+  each_pipeline([&](int p) {
+    std::size_t* cursor = sort_cursors_.data() + std::size_t(p) * nv;
+    Particle* out = sort_scratch_.data();
+    const auto r = Pipeline::partition(np_, npipe, p);
+    for (std::size_t n = r.begin; n < r.end; ++n) {
+      const Particle& pt = storage_[n];
+      out[cursor[std::size_t(pt.i)]++] = pt;
+    }
+  });
+
+  // Step 4 — the scratch becomes the list and the old list the next
+  // scratch. Nothing is copied back.
+  storage_.swap(sort_scratch_);
 }
 
 double Species::sortedness() const {

@@ -12,7 +12,7 @@
 #include "util/aligned.hpp"
 
 namespace minivpic {
-class Pipeline;  // util/pipeline.hpp; sort() parallelizes its histogram
+class Pipeline;  // util/pipeline.hpp; sort() runs on its pipelines
 }  // namespace minivpic
 
 namespace minivpic::particles {
@@ -68,17 +68,19 @@ class Species {
   /// Bytes of particle storage in use (for data-motion accounting).
   std::int64_t bytes() const { return std::int64_t(np_) * sizeof(Particle); }
 
-  /// In-place O(N) counting sort by voxel index — the locality optimization
-  /// the paper's inner-loop rate depends on (docs/SORTING.md). The histogram
-  /// pass runs one slice per pipeline when a pool is supplied; the cycle-
-  /// chasing permutation is serial and touches each particle at most twice.
-  /// No particle-sized scratch buffer is allocated (the previous double-
-  /// buffer scheme cost 32 B/particle of extra resident memory).
+  /// Stable O(N) counting sort by voxel index — the locality optimization
+  /// the paper's inner-loop rate depends on (docs/SORTING.md). With a pool,
+  /// each pipeline histograms and then scatters its own contiguous slice
+  /// into a particle-sized scratch buffer through per-(voxel, pipeline)
+  /// write cursors; the two buffers are then swapped, nothing is copied
+  /// back. The scratch is kept across calls at capacity(), so a periodic
+  /// sort allocates only when the list has grown (32 B per particle of
+  /// resident memory, the trade VPIC's sort_p makes).
   ///
-  /// NOT stable: particles sharing a voxel land in cycle order, not arrival
-  /// order. The permutation is a pure function of the particle array — the
-  /// same input sorts identically for every pipeline count, so determinism
-  /// per (kernel, pipelines) is preserved (contract delta: docs/SORTING.md).
+  /// Stable: particles sharing a voxel keep their arrival order. A stable
+  /// sort has exactly one output, so the result is identical for every
+  /// pipeline count. A voxel index outside the grid throws Error and
+  /// leaves the list untouched.
   void sort(const grid::LocalGrid& grid, Pipeline* pipeline = nullptr);
 
   /// Fraction of adjacent particle pairs in non-decreasing voxel order:
@@ -92,10 +94,9 @@ class Species {
   std::size_t np_ = 0;
   AlignedBuffer<Particle> storage_;
   // sort() workspace, kept across calls so a periodic sort allocates only
-  // on the first call (and when the pipeline count or grid size changes).
-  std::vector<std::int32_t> sort_counts_;  ///< per-pipeline voxel histograms
-  std::vector<std::int64_t> sort_next_;    ///< per-voxel write cursors
-  std::vector<std::int64_t> sort_end_;     ///< per-voxel bucket ends
+  // on the first call (and when the list, pipeline count or grid grows).
+  AlignedBuffer<Particle> sort_scratch_;  ///< scatter target, capacity()
+  std::vector<std::size_t> sort_cursors_;  ///< per-pipeline rows of voxels
 };
 
 }  // namespace minivpic::particles

@@ -79,9 +79,9 @@ RoadrunnerPrediction RoadrunnerModel::predict(double particles, double voxels,
   out.t_reduce = nv * cfg_.reduce_bytes_per_voxel *
                  double(cfg_.pipelines_per_chip + 1) / cfg_.mem_bw_per_cell;
 
-  // Periodic in-place bin sort, amortized over its period: a streaming
-  // histogram read plus the cycle-chasing permutation's random
-  // read-modify-write of each misplaced particle — calibrated at ~4x the
+  // Periodic bin sort, amortized over its period: a streaming histogram
+  // read, then the scatter's streaming read of the list and its write into
+  // the scratch buffer (a read for ownership plus the write-back) — ~4x the
   // 32 B particle record (Species::sort; docs/SORTING.md).
   out.t_sort = np * (32.0 * 2 * 2) / cfg_.mem_bw_per_cell /
                double(cfg_.sort_period);

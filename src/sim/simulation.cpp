@@ -279,8 +279,8 @@ void Simulation::step() {
   if (sort_now || collide_now) {
     // Periodic bin sort: restores the near-cell particle order the SIMD
     // gathers decay away from as migration shuffles the list
-    // (docs/SORTING.md). The histogram pass parallelizes on the same
-    // pipeline pool as the advance; collisions also require sorted lists.
+    // (docs/SORTING.md). The sort runs on the same pipeline pool as the
+    // advance; collisions also require sorted lists.
     const auto lap = probe(Phase::kSort);
     for (std::size_t s = 0; s < species_.size(); ++s) {
       if (!mobile_[s]) continue;
@@ -313,11 +313,12 @@ void Simulation::step() {
   }
 
   {
-    // Fold the per-pipeline accumulator blocks into block 0 (deterministic
-    // block order; see AccumulatorArray::reduce). Timed separately: this is
-    // the serial cost the pipeline layer pays per step.
+    // Fold the per-pipeline accumulator blocks into block 0 on the pool
+    // (fixed block order, so bit-identical to a serial fold; see
+    // AccumulatorArray::reduce). Timed separately: this is the cost the
+    // pipeline layer pays per step for its private blocks.
     const auto lap = probe(Phase::kReduce);
-    acc_.reduce();
+    acc_.reduce(&pipeline_);
   }
 
   {

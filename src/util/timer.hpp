@@ -58,16 +58,4 @@ class Stopwatch {
   bool running_ = false;
 };
 
-/// RAII lap guard: times a scope into a Stopwatch.
-class ScopedLap {
- public:
-  explicit ScopedLap(Stopwatch& sw) : sw_(sw) { sw_.start(); }
-  ~ScopedLap() { sw_.stop(); }
-  ScopedLap(const ScopedLap&) = delete;
-  ScopedLap& operator=(const ScopedLap&) = delete;
-
- private:
-  Stopwatch& sw_;
-};
-
 }  // namespace minivpic

@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "harness.hpp"
 #include "sim/simulation.hpp"
 #include "util/error.hpp"
 #include "util/pipeline.hpp"
+#include "util/rng.hpp"
 
 namespace minivpic::particles {
 namespace {
@@ -52,7 +54,7 @@ struct PipelinePic {
       migrate_particles(std::move(r.emigrants), *sp, pusher, acc, grid,
                         nullptr);
     }
-    acc.reduce();
+    acc.reduce(&pool);
     acc.unload(fields);
     for (Species* sp : species) accumulate_rho(*sp, fields);
     halo.reduce_sources(fields);
@@ -326,6 +328,36 @@ TEST(PipelinePushTest, AdvanceRequiresOneBlockPerPipeline) {
   load_uniform(sp, pic.grid, cfg);
   Pipeline pool(3);
   EXPECT_THROW(pic.pusher.advance(sp, pic.interp, pic.acc, &pool), Error);
+}
+
+TEST(PipelinePushTest, PooledFoldIsBitIdenticalToSerialFold) {
+  // Each pipeline folds one contiguous voxel range across blocks 1..B-1 in
+  // ascending block order, so every float receives the same additions in
+  // the same order as the serial fold: memcmp-equal, not merely close.
+  // Values span six decades so a different addition order would show.
+  // 7^3 = 343 voxels does not divide evenly by any pool width below.
+  const grid::LocalGrid g(cube_grid(5, 0.5));
+  for (const int blocks : {2, 5}) {  // 5 = 4 pipelines + a migration block
+    AccumulatorArray base(g, blocks);
+    Rng rng(std::uint64_t(90 + blocks));
+    float* f = reinterpret_cast<float*>(base.data());
+    const std::size_t floats =
+        base.size() * std::size_t(blocks) * (sizeof(CellAccum) / sizeof(float));
+    for (std::size_t i = 0; i < floats; ++i)
+      f[i] = float(rng.uniform(-1, 1) *
+                   std::pow(10.0, double(rng.uniform_u64(6)) - 3.0));
+    AccumulatorArray serial = base;
+    serial.reduce();
+    for (const int npipe : {1, 2, 4, 5}) {
+      AccumulatorArray pooled = base;
+      Pipeline pool(npipe);
+      pooled.reduce(&pool);
+      EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
+                            floats * sizeof(float)),
+                0)
+          << blocks << " blocks on " << npipe << " pipelines";
+    }
+  }
 }
 
 }  // namespace

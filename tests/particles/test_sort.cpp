@@ -1,9 +1,14 @@
-// The in-place bin sort's contract (docs/SORTING.md):
+// The bin sort's contract (docs/SORTING.md):
 //   - pure permutation: the byte-multiset of particles is untouched;
-//   - deterministic: same input array -> same output array for EVERY
-//     pipeline count (only the integer histogram is parallel);
-//   - idempotent: sorting a sorted list is a pure scan, zero swaps,
-//     byte-identical output;
+//   - stable: particles sharing a voxel keep their arrival order, so the
+//     sort has exactly one output and every pipeline count (including more
+//     pipelines than particles) produces it byte for byte;
+//   - idempotent: sorting a sorted list reproduces it byte for byte;
+//   - out of place into a scratch kept across calls at capacity(): repeated
+//     sorts alternate between the same two buffers, and growth past the
+//     scratch reallocates it;
+//   - a corrupt voxel index throws Error and leaves the list byte-identical,
+//     with or without a pool;
 //   - physics-neutral: a sorted and an unsorted particle list advance to
 //     bit-identical per-particle states over a single step (each particle
 //     reads only its own state plus the read-only interpolator), with exact
@@ -20,9 +25,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "harness.hpp"
+#include "util/error.hpp"
 #include "util/pipeline.hpp"
 #include "util/rng.hpp"
 
@@ -87,7 +94,7 @@ TEST(SortTest, Idempotent) {
   fill_random(sp, g, 1000, 4, 22);
   sp.sort(g);
   std::vector<Particle> snap(sp.particles().begin(), sp.particles().end());
-  sp.sort(g);  // sorted input: pure scan, zero swaps
+  sp.sort(g);  // a stable sort of a sorted list is the identity
   ASSERT_EQ(sp.size(), snap.size());
   EXPECT_EQ(std::memcmp(sp.data(), snap.data(),
                         snap.size() * sizeof(Particle)),
@@ -111,6 +118,116 @@ TEST(SortTest, PipelinedMatchesSerial) {
     ref.sort(g);  // serial reference
     EXPECT_TRUE(bytes_equal(ref, pooled))
         << "pipelined sort (" << npipe << " pipelines) diverged from serial";
+  }
+}
+
+/// Tags every particle with its arrival index through `w`.
+void tag_arrival_order(Species& sp) {
+  for (std::size_t n = 0; n < sp.size(); ++n) sp[n].w = float(n);
+}
+
+/// True when the list is in voxel order and, within each voxel, in
+/// ascending tag order.
+::testing::AssertionResult sorted_and_stable(const Species& sp) {
+  for (std::size_t n = 1; n < sp.size(); ++n) {
+    if (sp[n - 1].i > sp[n].i)
+      return ::testing::AssertionFailure() << "unsorted at " << n;
+    if (sp[n - 1].i == sp[n].i && sp[n - 1].w >= sp[n].w)
+      return ::testing::AssertionFailure()
+             << "voxel " << sp[n].i << " reorders tags " << sp[n - 1].w
+             << " and " << sp[n].w << " at " << n;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SortTest, StableWithinVoxelForEveryPool) {
+  const grid::LocalGrid g(cube_grid(4, 0.5));
+  for (const int npipe : {1, 2, 4, 5}) {
+    Species sp("e", -1.0, 1.0);
+    fill_random(sp, g, 2000, 4, 24);  // ~31 particles per voxel
+    tag_arrival_order(sp);
+    Pipeline pool(npipe);
+    sp.sort(g, &pool);
+    EXPECT_TRUE(sorted_and_stable(sp)) << npipe << " pipelines";
+  }
+}
+
+TEST(SortTest, FewerParticlesThanPipelines) {
+  const grid::LocalGrid g(cube_grid(4, 0.5));
+  Pipeline pool(5);
+  for (const int n : {2, 3}) {
+    Species sp("e", -1.0, 1.0);
+    // Two particles share a voxel, so stability is visible.
+    const std::int32_t voxels[] = {g.voxel(3, 2, 1), g.voxel(1, 1, 1),
+                                   g.voxel(3, 2, 1)};
+    for (int k = 0; k < n; ++k) {
+      Particle p;
+      p.i = voxels[k];
+      p.w = float(k);
+      sp.add(p);
+    }
+    Species ref = sp;
+    ref.sort(g);
+    sp.sort(g, &pool);
+    ASSERT_EQ(sp.size(), std::size_t(n));
+    EXPECT_TRUE(sorted_and_stable(sp)) << n << " particles";
+    EXPECT_TRUE(bytes_equal(ref, sp)) << n << " particles";
+  }
+}
+
+TEST(SortTest, ScratchFollowsGrowthAndAlternates) {
+  const grid::LocalGrid g(cube_grid(4, 0.5));
+  Pipeline pool(4);
+  Species sp("e", -1.0, 1.0, 1024);
+  fill_random(sp, g, 1000, 4, 25);
+  sp.sort(g, &pool);
+  // Grow past the scratch the first sort sized to the old capacity.
+  const std::size_t cap0 = sp.capacity();
+  fill_random(sp, g, int(cap0), 4, 26);
+  ASSERT_GT(sp.capacity(), cap0);
+  const auto before = canon(sp);
+  sp.sort(g, &pool);
+  for (std::size_t n = 1; n < sp.size(); ++n)
+    ASSERT_LE(sp[n - 1].i, sp[n].i) << "unsorted at " << n;
+  EXPECT_EQ(canon(sp), before) << "sort must be a pure permutation";
+
+  // At a fixed size the sort swaps between the same two buffers and keeps
+  // the capacity, so immigrant appends after a sort need no regrow.
+  const std::size_t cap = sp.capacity();
+  std::vector<const Particle*> seen;
+  for (int k = 0; k < 6; ++k) {
+    shuffle(sp, 40 + std::uint64_t(k));
+    sp.sort(g, k % 2 == 0 ? &pool : nullptr);
+    EXPECT_EQ(sp.capacity(), cap);
+    seen.push_back(sp.data());
+  }
+  EXPECT_EQ(std::set<const Particle*>(seen.begin(), seen.end()).size(), 2u);
+  for (std::size_t k = 1; k < seen.size(); ++k)
+    EXPECT_NE(seen[k], seen[k - 1]) << "sort " << k << " reused its input";
+}
+
+TEST(SortTest, PooledCorruptVoxelThrowsAndLeavesListIntact) {
+  const grid::LocalGrid g(cube_grid(4, 0.5));
+  Pipeline pool(4);
+  // The bad particle sits in pipeline 0's slice, a middle slice, and the
+  // last slice in turn, so both the calling thread and the workers throw.
+  for (const std::size_t bad : {std::size_t(0), std::size_t(500),
+                                std::size_t(999)}) {
+    Species sp("e", -1.0, 1.0);
+    fill_random(sp, g, 1000, 4, 27);
+    sp.sort(g, &pool);  // the scratch exists; a throw must not swap it in
+    shuffle(sp, 28);
+    sp[bad].i = std::int32_t(g.num_voxels()) + 3;
+    const std::vector<Particle> snap(sp.particles().begin(),
+                                     sp.particles().end());
+    const Particle* data = sp.data();
+    EXPECT_THROW(sp.sort(g, &pool), Error) << "bad particle " << bad;
+    ASSERT_EQ(sp.size(), snap.size());
+    EXPECT_EQ(sp.data(), data);
+    EXPECT_EQ(std::memcmp(sp.data(), snap.data(),
+                          snap.size() * sizeof(Particle)),
+              0)
+        << "bad particle " << bad;
   }
 }
 

@@ -102,11 +102,9 @@ TEST(SpeciesTest, SortOrdersByVoxel) {
     EXPECT_LE(sp[n - 1].i, sp[n].i) << "unsorted at " << n;
 }
 
-// NOTE: the in-place cycle-chasing sort is deliberately NOT stable (within a
-// voxel the final order depends on where particles started, not on insertion
-// order) — the stronger guarantees it does make (deterministic permutation,
-// pipeline-count independence, idempotence) live in test_sort.cpp and
-// docs/SORTING.md.
+// The sort is stable (particles sharing a voxel keep their arrival order):
+// SortTest.StableWithinVoxelForEveryPool in test_sort.cpp holds it to that,
+// next to the rest of the contract in docs/SORTING.md.
 
 TEST(SpeciesTest, SortednessReportsOrder) {
   const grid::LocalGrid g(cube(4));

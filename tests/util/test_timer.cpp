@@ -88,30 +88,5 @@ TEST(StopwatchTest, ResetClearsEverything) {
   EXPECT_EQ(sw.laps(), 0u);
 }
 
-TEST(ScopedLapTest, TimesTheScope) {
-  Stopwatch sw;
-  {
-    ScopedLap lap(sw);
-    spin(std::chrono::microseconds(100));
-  }
-  EXPECT_EQ(sw.laps(), 1u);
-  EXPECT_GT(sw.total_seconds(), 0.0);
-}
-
-TEST(ScopedLapTest, NestedScopesAccumulate) {
-  Stopwatch outer, inner;
-  {
-    ScopedLap a(outer);
-    {
-      ScopedLap b(inner);
-      spin(std::chrono::microseconds(100));
-    }
-  }
-  EXPECT_EQ(outer.laps(), 1u);
-  EXPECT_EQ(inner.laps(), 1u);
-  // The outer scope contains the inner one.
-  EXPECT_GE(outer.total_seconds(), inner.total_seconds());
-}
-
 }  // namespace
 }  // namespace minivpic
