@@ -76,30 +76,46 @@ Pusher::Pusher(const grid::LocalGrid& grid, const ParticleBcSpec& bc,
     }
   }
 
-  // Skin map for the two-pass advance: a cell is skin iff it touches a face
-  // whose neighbor is a *remote* rank (kNoNeighbor faces are walls and
-  // self-neighbors are single-rank periodic wraps — neither can emigrate).
-  // Under the CFL limit (< 1 cell per axis per step) only skin-cell
-  // particles can leave the rank, which is what lets the scheduler start
-  // migration right after pass S.
-  bool remote[6];
+  // Cell-crossing table. Across a face whose target coordinate is still
+  // owned lies the adjacent voxel; past the slab edge, a self-neighbor is a
+  // single-rank periodic wrap (to the voxel at the far edge), any other rank
+  // is kRemoteFace and kNoNeighbor a global wall.
+  bool wrap[6];
+  std::int32_t edge[6];
   for (int face = 0; face < 6; ++face) {
     const int nbr = grid.neighbor(static_cast<grid::Face>(face));
-    remote[face] = nbr != grid::LocalGrid::kNoNeighbor && nbr != grid.rank();
-    has_skin_ = has_skin_ || remote[face];
+    wrap[face] = nbr == grid.rank();
+    edge[face] =
+        nbr == grid::LocalGrid::kNoNeighbor ? kWallFace : kRemoteFace;
   }
-  if (has_skin_) {
-    skin_voxel_.assign(std::size_t(grid.num_voxels()), 0);
-    for (int iz = 1; iz <= grid.nz(); ++iz) {
-      for (int iy = 1; iy <= grid.ny(); ++iy) {
-        for (int ix = 1; ix <= grid.nx(); ++ix) {
-          const bool skin = (ix == 1 && remote[grid::kFaceXLo]) ||
-                            (ix == grid.nx() && remote[grid::kFaceXHi]) ||
-                            (iy == 1 && remote[grid::kFaceYLo]) ||
-                            (iy == grid.ny() && remote[grid::kFaceYHi]) ||
-                            (iz == 1 && remote[grid::kFaceZLo]) ||
-                            (iz == grid.nz() && remote[grid::kFaceZHi]);
-          if (skin) skin_voxel_[std::size_t(grid.voxel(ix, iy, iz))] = 1;
+  const int n[3] = {grid.nx(), grid.ny(), grid.nz()};
+  neighbor_.resize(6 * std::size_t(grid.num_voxels()));
+  skin_voxel_.assign(std::size_t(grid.num_voxels()), 0);
+  for (int iz = 0; iz <= n[2] + 1; ++iz) {
+    for (int iy = 0; iy <= n[1] + 1; ++iy) {
+      for (int ix = 0; ix <= n[0] + 1; ++ix) {
+        const auto v = std::size_t(grid.voxel(ix, iy, iz));
+        bool skin = false;
+        for (int face = 0; face < 6; ++face) {
+          const auto gface = static_cast<grid::Face>(face);
+          const int axis = grid::face_axis(gface);
+          int c[3] = {ix, iy, iz};
+          c[axis] += grid::face_dir(gface);
+          const bool owned = c[axis] >= 1 && c[axis] <= n[axis];
+          if (!owned && wrap[face]) c[axis] = c[axis] < 1 ? n[axis] : 1;
+          const std::int32_t code = owned || wrap[face]
+                                        ? grid.voxel(c[0], c[1], c[2])
+                                        : edge[face];
+          neighbor_[6 * v + std::size_t(face)] = code;
+          skin = skin || code == kRemoteFace;
+        }
+        // Skin cells for the two-pass advance: owned cells with a remote
+        // face. Under the CFL limit (< 1 cell per axis per step) only their
+        // particles can leave the rank, which is what lets the scheduler
+        // start migration right after pass S.
+        if (skin && grid.is_interior(ix, iy, iz)) {
+          skin_voxel_[v] = 1;
+          has_skin_ = true;
         }
       }
     }
@@ -117,7 +133,6 @@ void Pusher::ensure_reflux_streams(int n) {
 Pusher::MoveStatus Pusher::move_p(Particle& p, Mover& m, float macro_charge,
                                   CellAccum* acc, Emigrant* out,
                                   Result* stats, Rng& reflux_rng) const {
-  const auto& g = *grid_;
   for (;;) {
     const float midx = p.dx, midy = p.dy, midz = p.dz;
     const float dispx = m.dispx, dispy = m.dispy, dispz = m.dispz;
@@ -155,28 +170,16 @@ Pusher::MoveStatus Pusher::move_p(Particle& p, Mover& m, float macro_charge,
     const float dir = axis == 0 ? dirx : axis == 1 ? diry : dirz;
     (&p.dx)[axis] = dir;
 
-    // Which cell lies across the face?
-    auto coords = g.voxel_coords(p.i);
-    const int step = dir > 0 ? 1 : -1;
-    const int target = coords[std::size_t(axis)] + step;
-    const int n = axis == 0 ? g.nx() : axis == 1 ? g.ny() : g.nz();
-    if (target >= 1 && target <= n) {
-      coords[std::size_t(axis)] = target;
-      p.i = g.voxel(coords[0], coords[1], coords[2]);
+    // What lies across the face: one table load.
+    const grid::Face face = grid::face_of(axis, dir > 0 ? 1 : -1);
+    const std::int32_t next = neighbor_[6 * std::size_t(p.i) + face];
+    if (next >= 0) {
+      // Adjacent owned cell, or a single-rank periodic wrap.
+      p.i = next;
       (&p.dx)[axis] = -dir;
       continue;
     }
-
-    const grid::Face face = grid::face_of(axis, step);
-    const int neighbor = g.neighbor(face);
-    if (neighbor == g.rank()) {
-      // Single-rank periodic axis: wrap locally.
-      coords[std::size_t(axis)] = dir > 0 ? 1 : n;
-      p.i = g.voxel(coords[0], coords[1], coords[2]);
-      (&p.dx)[axis] = -dir;
-      continue;
-    }
-    if (neighbor != grid::LocalGrid::kNoNeighbor) {
+    if (next == kRemoteFace) {
       // Leaves this rank: freeze state for the migration exchange.
       MV_ASSERT(out != nullptr);
       out->p = p;
@@ -244,21 +247,24 @@ Pusher::MoveStatus Pusher::continue_move(Particle& p, Mover& m,
 void Pusher::set_kernel(Kernel k) { kernel_ = resolve_kernel(k); }
 
 void Pusher::advance_range(Species& sp, const InterpolatorArray& interp,
-                           CellAccum* acc_block, std::size_t begin,
-                           std::size_t end, Rng& reflux_rng, Result& res,
+                           CellAccum* acc_block, const std::uint32_t* idx,
+                           std::size_t begin, std::size_t end,
+                           Rng& reflux_rng, Result& res,
                            std::vector<std::size_t>& dead) const {
   if (kernel_ != Kernel::kScalar) {
     if (const SimdAdvanceFn fn = simd_advance_entry(kernel_)) {
-      fn(*this, sp, interp, acc_block, begin, end, reflux_rng, res, dead);
+      fn(*this, sp, interp, acc_block, idx, begin, end, reflux_rng, res,
+         dead);
       return;
     }
   }
-  advance_range_scalar(sp, interp, acc_block, begin, end, reflux_rng, res,
-                       dead);
+  advance_range_scalar(sp, interp, acc_block, idx, begin, end, reflux_rng,
+                       res, dead);
 }
 
 void Pusher::advance_range_scalar(Species& sp, const InterpolatorArray& interp,
-                                  CellAccum* acc_block, std::size_t begin,
+                                  CellAccum* acc_block,
+                                  const std::uint32_t* idx, std::size_t begin,
                                   std::size_t end, Rng& reflux_rng,
                                   Result& res,
                                   std::vector<std::size_t>& dead) const {
@@ -273,7 +279,8 @@ void Pusher::advance_range_scalar(Species& sp, const InterpolatorArray& interp,
 
   Particle* parts = sp.data();
 
-  for (std::size_t n = begin; n < end; ++n) {
+  for (std::size_t k = begin; k < end; ++k) {
+    const std::size_t n = idx != nullptr ? idx[k] : k;
     Particle& p = parts[n];
     float dx = p.dx, dy = p.dy, dz = p.dz;
     const Interpolator& f = f0[p.i];
@@ -354,23 +361,6 @@ void Pusher::advance_range_scalar(Species& sp, const InterpolatorArray& interp,
   }
 }
 
-void Pusher::advance_runs(Species& sp, const InterpolatorArray& interp,
-                          CellAccum* acc_block, std::size_t begin,
-                          std::size_t end, std::uint8_t want, Rng& reflux_rng,
-                          Result& res, std::vector<std::size_t>& dead) const {
-  std::size_t n = begin;
-  while (n < end) {
-    if (cls_[n] != want) {
-      ++n;
-      continue;
-    }
-    std::size_t m = n + 1;
-    while (m < end && cls_[m] == want) ++m;
-    advance_range(sp, interp, acc_block, n, m, reflux_rng, res, dead);
-    n = m;
-  }
-}
-
 Pusher::Pass Pusher::advance_pass(Species& sp, const InterpolatorArray& interp,
                                   AccumulatorArray& acc, Pipeline* pipeline,
                                   PassKind kind) {
@@ -390,7 +380,21 @@ Pusher::Pass Pusher::advance_pass(Species& sp, const InterpolatorArray& interp,
   const bool full = kind == PassKind::kAll ||
                     (!has_skin_ && kind == PassKind::kInterior);
 
-  if (kind == PassKind::kSkin) cls_.resize(sp.size());
+  if (kind == PassKind::kSkin) {
+    // The SIMD kernels address a batch's rows by int32 float offsets from
+    // its first particle (particles are 8 floats wide).
+    MV_REQUIRE(sp.size() <= std::size_t(INT32_MAX) / 8,
+               "two-pass advance of " << sp.size()
+                                      << " particles exceeds the 2^28 "
+                                         "per-species index range");
+    lists_.resize(std::size_t(n_pipe));
+    listed_size_ = sp.size();
+  } else if (!full) {
+    MV_REQUIRE(lists_.size() == std::size_t(n_pipe) &&
+                   listed_size_ == sp.size(),
+               "advance_interior must directly follow advance_skin on the "
+               "same particle list and pipeline count");
+  }
 
   // Per-pipeline private state; spliced in pipeline order after the
   // barrier so all outputs keep serial particle order.
@@ -407,20 +411,36 @@ Pusher::Pass Pusher::advance_pass(Species& sp, const InterpolatorArray& interp,
     Lane& lane = lanes[std::size_t(p)];
     Rng& rng = reflux_streams_[std::size_t(p)];
     if (full) {
-      advance_range(sp, interp, acc.block(p), r.begin, r.end, rng, lane.res,
-                    lane.dead);
-    } else if (kind == PassKind::kSkin) {
-      // Classify before anything moves: pass I must push exactly the
-      // complement of what this pass pushes, and a skin particle may land
-      // in an interior cell.
-      const Particle* parts = sp.data();
-      for (std::size_t n = r.begin; n < r.end; ++n)
-        cls_[n] = skin_voxel_[std::size_t(parts[n].i)];
-      advance_runs(sp, interp, acc.block(p), r.begin, r.end, 1, rng, lane.res,
-                   lane.dead);
+      advance_range(sp, interp, acc.block(p), nullptr, r.begin, r.end, rng,
+                    lane.res, lane.dead);
     } else {
-      advance_runs(sp, interp, acc.block(p), r.begin, r.end, 0, rng, lane.res,
-                   lane.dead);
+      PassLists& l = lists_[std::size_t(p)];
+      if (kind == PassKind::kSkin) {
+        // Classify before anything moves: pass I must push exactly the
+        // complement of what this pass pushes, and a skin particle may land
+        // in an interior cell. Branch-free: every index is written to both
+        // lists and only the matching count advances.
+        const std::size_t len = r.end - r.begin;
+        if (l.skin.size() < len) l.skin.resize(len);
+        if (l.interior.size() < len) l.interior.resize(len);
+        const Particle* parts = sp.data();
+        std::uint32_t* skin = l.skin.data();
+        std::uint32_t* interior = l.interior.data();
+        std::size_t ns = 0, ni = 0;
+        for (std::size_t n = r.begin; n < r.end; ++n) {
+          const std::size_t is_skin = skin_voxel_[std::size_t(parts[n].i)];
+          skin[ns] = interior[ni] = std::uint32_t(n);
+          ns += is_skin;
+          ni += 1 - is_skin;
+        }
+        l.n_skin = ns;
+        l.n_interior = ni;
+      }
+      const bool skin_pass = kind == PassKind::kSkin;
+      advance_range(sp, interp, acc.block(p),
+                    skin_pass ? l.skin.data() : l.interior.data(), 0,
+                    skin_pass ? l.n_skin : l.n_interior, rng, lane.res,
+                    lane.dead);
     }
     lane.seconds = lane_timer.seconds();
   };

@@ -43,7 +43,9 @@
 // <= 4 ULP, bit-exact J at <= 1 deposit per cell per block — so a future
 // kernel with a weaker guarantee (e.g. an FMA variant) has room to exist
 // without rewording every test. Kernel choice composes with pipelines:
-// each pipeline runs the selected kernel over its own contiguous slice.
+// each pipeline runs the selected kernel over its own contiguous slice (or,
+// in the two-pass advance, over its slice's skin and interior index lists
+// in full W-wide batches).
 #pragma once
 
 #include <cstdint>
@@ -119,14 +121,14 @@ class Pusher {
     std::vector<std::size_t> dead;
   };
 
-  /// Pass S: classifies every particle of `sp` (the classification is
-  /// cached for the matching advance_interior call) and advances the
-  /// skin-cell subset.
+  /// Pass S: classifies every particle of `sp` into per-pipeline skin and
+  /// interior index lists (kept for the matching advance_interior call) and
+  /// advances the skin list.
   Pass advance_skin(Species& sp, const InterpolatorArray& interp,
                     AccumulatorArray& acc, Pipeline* pipeline = nullptr);
 
-  /// Pass I: advances the interior complement. Must directly follow an
-  /// advance_skin on the same, unmodified particle list.
+  /// Pass I: advances the interior list. Must directly follow an
+  /// advance_skin on the same, unmodified particle list and pool size.
   Pass advance_interior(Species& sp, const InterpolatorArray& interp,
                         AccumulatorArray& acc, Pipeline* pipeline = nullptr);
 
@@ -175,20 +177,23 @@ class Pusher {
   MoveStatus move_p(Particle& p, Mover& m, float macro_charge, CellAccum* acc,
                     Emigrant* out, Result* stats, Rng& reflux_rng) const;
 
-  /// Advances particles [begin, end) of `sp` with the selected kernel,
-  /// depositing into `acc_block`. Removals are deferred: dead (emigrated/
-  /// absorbed) indices are appended to `dead` in ascending order for the
-  /// caller to splice and remove.
+  /// Advances the particles at slots [begin, end) of `sp` with the selected
+  /// kernel, depositing into `acc_block`. Slot k is particle idx[k] when
+  /// `idx` is non-null (an ascending index list), particle k otherwise.
+  /// Removals are deferred: dead (emigrated/absorbed) particle indices are
+  /// appended to `dead` in ascending order for the caller to splice and
+  /// remove.
   void advance_range(Species& sp, const InterpolatorArray& interp,
-                     CellAccum* acc_block, std::size_t begin, std::size_t end,
-                     Rng& reflux_rng, Result& res,
-                     std::vector<std::size_t>& dead) const;
+                     CellAccum* acc_block, const std::uint32_t* idx,
+                     std::size_t begin, std::size_t end, Rng& reflux_rng,
+                     Result& res, std::vector<std::size_t>& dead) const;
 
   /// The scalar reference loop (also the remainder path of every SIMD
-  /// kernel: the last size % W particles of a slice run here).
+  /// kernel: the last (end - begin) % W slots of a call run here).
   void advance_range_scalar(Species& sp, const InterpolatorArray& interp,
-                            CellAccum* acc_block, std::size_t begin,
-                            std::size_t end, Rng& reflux_rng, Result& res,
+                            CellAccum* acc_block, const std::uint32_t* idx,
+                            std::size_t begin, std::size_t end,
+                            Rng& reflux_rng, Result& res,
                             std::vector<std::size_t>& dead) const;
 
   /// Per-pipeline reflux streams exist for pipelines [0, n); streams are
@@ -203,13 +208,9 @@ class Pusher {
   Pass advance_pass(Species& sp, const InterpolatorArray& interp,
                     AccumulatorArray& acc, Pipeline* pipeline, PassKind kind);
 
-  /// Advances the maximal runs of [begin, end) whose cached class equals
-  /// `want`, preserving index order (each run goes through advance_range,
-  /// so kernels see contiguous slices exactly as in the one-pass advance).
-  void advance_runs(Species& sp, const InterpolatorArray& interp,
-                    CellAccum* acc_block, std::size_t begin, std::size_t end,
-                    std::uint8_t want, Rng& reflux_rng, Result& res,
-                    std::vector<std::size_t>& dead) const;
+  /// Codes of neighbor_ entries that are not a local voxel.
+  static constexpr std::int32_t kRemoteFace = -1;  ///< another rank's cell
+  static constexpr std::int32_t kWallFace = -2;    ///< global wall: bc_[face]
 
   const grid::LocalGrid* grid_;
   ParticleBcSpec bc_;
@@ -227,14 +228,28 @@ class Pusher {
   /// comm worker is that one thread; nothing else draws from this stream
   /// until the scheduler joins it).
   mutable Rng migrate_reflux_rng_;
-  /// Per-voxel skin flag (1 = the cell borders a remote rank) and its
-  /// summary; built once in the constructor from the grid's neighbor map.
+  /// VPIC's grid->neighbor: entry 6 * v + face (grid::Face order) is the
+  /// local voxel across that face of voxel v — single-rank periodic wraps
+  /// already resolved — or kRemoteFace or kWallFace. move_p steps from cell
+  /// to cell with one load from it. Built once in the constructor, for every
+  /// voxel (ghosts included).
+  std::vector<std::int32_t> neighbor_;
+  /// Per-voxel skin flag (1 = some face of the owned cell is kRemoteFace)
+  /// and its summary, read off neighbor_ in the constructor.
   std::vector<std::uint8_t> skin_voxel_;
   bool has_skin_ = false;
-  /// Per-particle class (skin_voxel_ of the particle's cell) captured by
-  /// advance_skin *before* any particle moves, so advance_interior pushes
-  /// exactly the complement even after skin particles changed cells.
-  std::vector<std::uint8_t> cls_;
+  /// Pipeline p's skin and interior particles (ascending indices into its
+  /// static slice), filled by advance_skin's classification scan *before*
+  /// any particle moves, so advance_interior pushes exactly the complement
+  /// even after skin particles changed cells. The buffers only grow; the
+  /// counts say how much of each is valid.
+  struct PassLists {
+    std::vector<std::uint32_t> skin, interior;
+    std::size_t n_skin = 0, n_interior = 0;
+  };
+  std::vector<PassLists> lists_;
+  /// Particle count the lists were built for (advance_interior checks it).
+  std::size_t listed_size_ = 0;
 };
 
 /// Sets up leapfrog time-centering: pulls momenta back from t to t-dt/2

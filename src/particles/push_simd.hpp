@@ -14,11 +14,12 @@
 //
 // All kernels share one signature — the scalar advance_range_scalar's,
 // with the Pusher passed explicitly — so Pusher::advance_range can swap
-// them freely per slice. See docs/KERNELS.md for the kernel walk-through
-// and the determinism contract.
+// them freely per slice or per index list. See docs/KERNELS.md for the
+// kernel walk-through and the determinism contract.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "particles/kernel.hpp"
@@ -26,14 +27,15 @@
 
 namespace minivpic::particles {
 
-/// One pipeline-slice advance: particles [begin, end) of `sp`, deposits
-/// into `acc_block`, dead indices appended ascending. Matches
-/// Pusher::advance_range_scalar semantics exactly.
+/// One pipeline-slice advance: the particles at slots [begin, end) of `sp`
+/// — slot k is particle idx[k] for a non-null ascending index list `idx`,
+/// particle k otherwise — deposits into `acc_block`, dead indices appended
+/// ascending. Matches Pusher::advance_range_scalar semantics exactly.
 using SimdAdvanceFn = void (*)(const Pusher&, Species& sp,
                                const InterpolatorArray& interp,
-                               CellAccum* acc_block, std::size_t begin,
-                               std::size_t end, Rng& reflux_rng,
-                               Pusher::Result& res,
+                               CellAccum* acc_block, const std::uint32_t* idx,
+                               std::size_t begin, std::size_t end,
+                               Rng& reflux_rng, Pusher::Result& res,
                                std::vector<std::size_t>& dead);
 
 /// The SIMD kernels are compiled in their own TUs but need three private
@@ -52,12 +54,12 @@ struct SimdKernelAccess {
 
   static void advance_scalar(const Pusher& pu, Species& sp,
                              const InterpolatorArray& interp,
-                             CellAccum* acc_block, std::size_t begin,
-                             std::size_t end, Rng& reflux_rng,
-                             Pusher::Result& res,
+                             CellAccum* acc_block, const std::uint32_t* idx,
+                             std::size_t begin, std::size_t end,
+                             Rng& reflux_rng, Pusher::Result& res,
                              std::vector<std::size_t>& dead) {
-    pu.advance_range_scalar(sp, interp, acc_block, begin, end, reflux_rng,
-                            res, dead);
+    pu.advance_range_scalar(sp, interp, acc_block, idx, begin, end,
+                            reflux_rng, res, dead);
   }
 };
 

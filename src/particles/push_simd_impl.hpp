@@ -9,7 +9,9 @@
 //   1. load_tr: transposed AoS->SoA load of W 32-byte particles — the 8
 //      interleaved columns {dx,dy,dz,i,ux,uy,uz,w} become 8 packs. The
 //      int32 voxel and the weight ride through as raw bits (transposes are
-//      bit-preserving; no arithmetic ever touches the voxel column).
+//      bit-preserving; no arithmetic ever touches the voxel column). The W
+//      rows are W consecutive particles, or the next W entries of an index
+//      list, addressed by offsets from the batch's first particle.
 //   2. load_tr keyed by voxel: gathered transpose of the 80-byte
 //      Interpolator (18 coefficient columns at stride 20 floats). The
 //      4-wide kernel reads 20 columns so every 4x4 transpose block is full
@@ -25,7 +27,8 @@
 //      their precomputed quadrant currents to the accumulator; minority
 //      crossing/boundary lanes spill to the scalar move_p — same RNG
 //      stream, same draw order, same emigrant and dead ordering as scalar.
-//   6. The slice remainder (count % W) runs the scalar reference loop.
+//   6. The call's remainder ((end - begin) % W slots) runs the scalar
+//      reference loop: one remainder per slice, or per index list.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +43,9 @@ inline namespace MV_SIMD_ARCH_NS {
 template <int W>
 void advance_range_simd(const Pusher& pusher, Species& sp,
                         const InterpolatorArray& interp, CellAccum* acc_block,
-                        std::size_t begin, std::size_t end, Rng& reflux_rng,
-                        Pusher::Result& res, std::vector<std::size_t>& dead) {
+                        const std::uint32_t* idx, std::size_t begin,
+                        std::size_t end, Rng& reflux_rng, Pusher::Result& res,
+                        std::vector<std::size_t>& dead) {
   using P = simd::pack<W>;
   using M = simd::mask<W>;
 
@@ -61,8 +65,9 @@ void advance_range_simd(const Pusher& pusher, Species& sp,
   const P vcdt_dz = P::broadcast(float(g.dt() / g.dz()));
   const P vqsp = P::broadcast(float(sp.q()));
 
-  // Transpose row offsets: particle columns at stride 8 floats, per-lane
-  // deposit rows at stride 12 floats.
+  // Transpose row offsets: particle rows in floats from the batch's first
+  // particle (stride 8 for a contiguous slice, rewritten per batch from an
+  // index list), per-lane deposit rows at stride 12 floats.
   alignas(64) std::int32_t poff[W];
   alignas(64) std::int32_t doff[W];
   for (int w = 0; w < W; ++w) {
@@ -86,12 +91,21 @@ void advance_range_simd(const Pusher& pusher, Species& sp,
 
   const std::size_t vend = begin + (end - begin) / W * W;
 
-  for (std::size_t n = begin; n < vend; n += W) {
+  for (std::size_t k = begin; k < vend; k += W) {
+    // Particle index of lane w: slot k + w of the list, or of the slice.
+    const auto row = [idx, k](int w) {
+      const std::size_t slot = k + std::size_t(w);
+      return idx != nullptr ? std::size_t(idx[slot]) : slot;
+    };
+    const std::size_t n = row(0);
+    if (idx != nullptr)
+      for (int w = 0; w < W; ++w)
+        poff[w] = std::int32_t(idx[k + std::size_t(w)] - idx[k]) * 8;
     P cols[8];
     simd::load_tr<W>(&parts[n].dx, poff, 8, cols);
     const P dx = cols[0], dy = cols[1], dz = cols[2];
 
-    for (int w = 0; w < W; ++w) ioff[w] = parts[n + w].i * 20;
+    for (int w = 0; w < W; ++w) ioff[w] = parts[row(w)].i * 20;
     P f[kFCols];
     simd::load_tr<W>(fbase, ioff, kFCols, f);
 
@@ -196,7 +210,7 @@ void advance_range_simd(const Pusher& pusher, Species& sp,
     // Lane loop in particle order: scatter-add the in-cell deposits, spill
     // crossing/boundary lanes to the scalar segment splitter.
     for (int w = 0; w < W; ++w) {
-      Particle& p = parts[n + w];
+      Particle& p = parts[row(w)];
       if (in_bits >> w & 1u) {
         using Q = simd::pack<4>;
         CellAccum& a = a0[p.i];
@@ -213,20 +227,20 @@ void advance_range_simd(const Pusher& pusher, Species& sp,
             break;
           case Pusher::MoveStatus::kEmigrated:
             res.emigrants.push_back(out_e);
-            dead.push_back(n + w);
+            dead.push_back(row(w));
             break;
           case Pusher::MoveStatus::kAbsorbed:
-            dead.push_back(n + w);
+            dead.push_back(row(w));
             break;
         }
       }
     }
   }
 
-  // Remainder batch: the scalar reference finishes the slice.
+  // Remainder batch: the scalar reference finishes the slice or list.
   if (vend < end)
-    SimdKernelAccess::advance_scalar(pusher, sp, interp, acc_block, vend, end,
-                                     reflux_rng, res, dead);
+    SimdKernelAccess::advance_scalar(pusher, sp, interp, acc_block, idx, vend,
+                                     end, reflux_rng, res, dead);
 }
 
 }  // inline namespace MV_SIMD_ARCH_NS

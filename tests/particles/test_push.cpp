@@ -8,6 +8,7 @@
 #include "harness.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "vmpi/cart.hpp"
 
 namespace minivpic::particles {
 namespace {
@@ -249,6 +250,119 @@ TEST(PushTest, DiagonalCornerCrossing) {
   ASSERT_EQ(sp.size(), 1u);
   const auto c = pic.grid.voxel_coords(sp[0].i);
   EXPECT_TRUE(pic.grid.is_interior(c[0], c[1], c[2]));
+}
+
+TEST(PushTest, EveryFaceCrossingMatchesVoxelArithmetic) {
+  // One particle launched across each of the 6 faces of every owned cell,
+  // its expected fate worked out from voxel_coords arithmetic and the
+  // grid's face neighbors: the adjacent voxel, a wrap on a single-rank
+  // periodic axis, an emigrant carrying the face on a remote face, or the
+  // absorb/reflect counters at a wall. Edge cells (coordinate 1 and n) are
+  // where an off-by-one in the pusher's neighbour table would hide; the
+  // extents differ per axis so a swapped axis shows too.
+  struct Case {
+    const char* name;
+    grid::GlobalGrid global;
+    vmpi::CartTopology topo;
+    ParticleBcSpec bc;
+  };
+  auto periodic = cube_grid(1, 0.5);
+  periodic.nx = 3;
+  periodic.ny = 4;
+  periodic.nz = 5;
+  auto split = periodic;
+  split.nx = 6;  // two ranks of 3 cells along x
+  auto walled = split;
+  walled.boundary = {grid::BoundaryKind::kAbsorbing,
+                     grid::BoundaryKind::kAbsorbing,
+                     grid::BoundaryKind::kPec,
+                     grid::BoundaryKind::kPec,
+                     grid::BoundaryKind::kPeriodic,
+                     grid::BoundaryKind::kPeriodic};
+  ParticleBcSpec walls = periodic_particles();
+  walls[grid::kFaceXLo] = ParticleBc::kAbsorb;
+  walls[grid::kFaceXHi] = ParticleBc::kReflect;
+  walls[grid::kFaceYLo] = ParticleBc::kReflect;
+  walls[grid::kFaceYHi] = ParticleBc::kAbsorb;
+  const std::vector<Case> cases = {
+      {"periodic", periodic, vmpi::CartTopology({1, 1, 1}, {true, true, true}),
+       periodic_particles()},
+      {"split", split, vmpi::CartTopology({2, 1, 1}, {true, true, true}),
+       periodic_particles()},
+      {"walled", walled, vmpi::CartTopology({2, 1, 1}, {false, false, true}),
+       walls},
+  };
+
+  const float speed = 0.5f;  // 0.51 of an offset per step: one crossing
+  std::int64_t seen[5] = {};  // adjacent, wrap, remote, absorbed, reflected
+  for (const Case& c : cases) {
+    for (int rank = 0; rank < c.topo.nranks(); ++rank) {
+      const grid::LocalGrid g(c.global, c.topo, rank);
+      Pusher pusher(g, c.bc);
+      grid::FieldArray fields(g);
+      InterpolatorArray interp(g);
+      interp.load(fields);  // zero fields: momenta stay put
+      AccumulatorArray acc(g);
+      const int n[3] = {g.nx(), g.ny(), g.nz()};
+      for (int iz = 1; iz <= n[2]; ++iz)
+        for (int iy = 1; iy <= n[1]; ++iy)
+          for (int ix = 1; ix <= n[0]; ++ix)
+            for (int f = 0; f < 6; ++f) {
+              const auto face = static_cast<grid::Face>(f);
+              const int axis = grid::face_axis(face);
+              const int dir = grid::face_dir(face);
+              SCOPED_TRACE(std::string(c.name) + " rank " +
+                           std::to_string(rank) + " cell (" +
+                           std::to_string(ix) + "," + std::to_string(iy) +
+                           "," + std::to_string(iz) + ") face " +
+                           std::to_string(f));
+              Particle p;
+              p.i = g.voxel(ix, iy, iz);
+              p.w = 1.0f;
+              (&p.dx)[axis] = 0.9f * float(dir);
+              (&p.ux)[axis] = speed * float(dir);
+              Species sp("e", -1.0, 1.0);
+              sp.add(p);
+              acc.clear();
+              const Pusher::Result r = pusher.advance(sp, interp, acc);
+              EXPECT_EQ(r.crossings, 1);
+
+              auto coords = g.voxel_coords(p.i);
+              const int target = coords[std::size_t(axis)] + dir;
+              const int nbr = g.neighbor(face);
+              const bool inside = target >= 1 && target <= n[axis];
+              if (inside || nbr == g.rank()) {
+                coords[std::size_t(axis)] =
+                    inside ? target : (dir > 0 ? 1 : n[axis]);
+                ASSERT_EQ(sp.size(), 1u);
+                EXPECT_EQ(sp[0].i, g.voxel(coords[0], coords[1], coords[2]));
+                EXPECT_LT((&sp[0].dx)[axis] * float(dir), 0.0f)
+                    << "did not enter through the opposite face";
+                EXPECT_TRUE(r.emigrants.empty());
+                ++seen[inside ? 0 : 1];
+              } else if (nbr != grid::LocalGrid::kNoNeighbor) {
+                EXPECT_EQ(sp.size(), 0u);
+                ASSERT_EQ(r.emigrants.size(), 1u);
+                EXPECT_EQ(r.emigrants[0].face, f);
+                EXPECT_EQ(r.emigrants[0].p.i, p.i);
+                EXPECT_EQ((&r.emigrants[0].p.dx)[axis], float(dir));
+                ++seen[2];
+              } else if (c.bc[std::size_t(f)] == ParticleBc::kAbsorb) {
+                EXPECT_EQ(r.absorbed, 1);
+                EXPECT_EQ(sp.size(), 0u);
+                ++seen[3];
+              } else {
+                ASSERT_EQ(c.bc[std::size_t(f)], ParticleBc::kReflect);
+                EXPECT_EQ(r.reflected, 1);
+                ASSERT_EQ(sp.size(), 1u);
+                EXPECT_EQ(sp[0].i, p.i);
+                EXPECT_EQ((&sp[0].ux)[axis], -speed * float(dir));
+                ++seen[4];
+              }
+            }
+    }
+  }
+  for (const std::int64_t k : seen) EXPECT_GT(k, 0) << "an outcome never ran";
 }
 
 TEST(PushTest, CenterUncenterRoundTrip) {

@@ -12,9 +12,11 @@
 // covers whatever the CI arch matrix compiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "util/error.hpp"
 #include "util/pipeline.hpp"
 #include "util/rng.hpp"
+#include "vmpi/cart.hpp"
 
 namespace minivpic::particles {
 namespace {
@@ -403,6 +406,128 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
     ASSERT_TRUE(j_close(ref.fields, vec.fields, 1e-4)) << "step " << s;
   }
   EXPECT_EQ(a.size(), b.size());
+}
+
+TEST_P(SimdEquivalenceTest, SkinInteriorPassesMatchScalar) {
+  // The two-pass advance hands each kernel per-pipeline index lists (skin,
+  // then interior) instead of contiguous slices. Rank 0 of a {2,1,1}
+  // periodic split has skin cells at x = 1 and x = nx; particles are laid
+  // out in alternating skin/interior runs of 1 to W+1, so every batch
+  // gathers rows from scattered offsets and every run length crosses a
+  // batch boundary somewhere. Per pipeline the SIMD kernel mirrors the
+  // scalar operation sequence, so everything is compared bytewise.
+  const Kernel kernel = GetParam();
+  const int W = kernel_lane_width(kernel);
+  auto gg = cube_grid(6, 0.5);
+  gg.nx = 16;  // rank 0 owns x = 1..8: skin at 1 and 8, interior 2..7
+  const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
+  const grid::LocalGrid grid(gg, topo, 0);
+  ASSERT_EQ(grid.nx(), 8);
+
+  // Random fields in every voxel (ghosts too) so the gather and rotation
+  // see distinct coefficients per cell.
+  grid::FieldArray fields(grid);
+  Rng frng(11);
+  for (int k = 0; k <= grid.nz() + 1; ++k)
+    for (int j = 0; j <= grid.ny() + 1; ++j)
+      for (int i = 0; i <= grid.nx() + 1; ++i) {
+        fields.ex(i, j, k) = float(frng.normal(0.0, 0.02));
+        fields.ey(i, j, k) = float(frng.normal(0.0, 0.02));
+        fields.ez(i, j, k) = float(frng.normal(0.0, 0.02));
+        fields.cbx(i, j, k) = float(frng.normal(0.0, 0.2));
+        fields.cby(i, j, k) = float(frng.normal(0.0, 0.2));
+        fields.cbz(i, j, k) = float(frng.normal(0.0, 0.2));
+      }
+  InterpolatorArray interp(grid);
+  interp.load(fields);
+
+  std::vector<Particle> load;
+  Rng rng(2024);
+  const auto cell = [&](int lo, int hi) {
+    return lo + int(rng.uniform() * (hi - lo + 1));
+  };
+  for (int run = 0; run < 8 * (W + 1); ++run) {
+    const bool skin = run % 2 == 0;
+    for (int j = 0; j <= run % (W + 1); ++j) {
+      Particle p;
+      const int ix = skin ? (rng.uniform() < 0.5 ? 1 : grid.nx())
+                          : cell(2, grid.nx() - 1);
+      p.i = grid.voxel(ix, cell(1, grid.ny()), cell(1, grid.nz()));
+      p.dx = float(rng.uniform(-1.0, 1.0));
+      p.dy = float(rng.uniform(-1.0, 1.0));
+      p.dz = float(rng.uniform(-1.0, 1.0));
+      p.ux = float(rng.normal(0.0, 0.4));  // many crossings, some emigrants
+      p.uy = float(rng.normal(0.0, 0.4));
+      p.uz = float(rng.normal(0.0, 0.4));
+      p.w = 0.5f + float(rng.uniform());
+      load.push_back(p);
+    }
+  }
+
+  struct Outcome {
+    std::vector<Pusher::Pass> passes;  // skin, interior; per step
+    std::vector<std::vector<CellAccum>> acc;
+    std::vector<Particle> particles;
+  };
+  const auto run = [&](Kernel k, int pipes) {
+    Pipeline pool(pipes);
+    Pusher pusher(grid, periodic_particles());
+    pusher.set_kernel(k);
+    EXPECT_TRUE(pusher.has_skin());
+    AccumulatorArray acc(grid, pipes);
+    Species sp("e", -1.0, 1.0);
+    for (const Particle& p : load) sp.add(p);
+    Outcome out;
+    for (int step = 0; step < 2; ++step) {
+      acc.clear();
+      Pusher::Pass skin = pusher.advance_skin(sp, interp, acc, &pool);
+      Pusher::Pass interior = pusher.advance_interior(sp, interp, acc, &pool);
+      std::vector<std::size_t> dead;
+      std::merge(skin.dead.begin(), skin.dead.end(), interior.dead.begin(),
+                 interior.dead.end(), std::back_inserter(dead));
+      for (auto it = dead.rbegin(); it != dead.rend(); ++it) sp.remove(*it);
+      out.passes.push_back(std::move(skin));
+      out.passes.push_back(std::move(interior));
+      out.acc.emplace_back(acc.data(),
+                           acc.data() + acc.size() * std::size_t(pipes));
+    }
+    out.particles.assign(sp.particles().begin(), sp.particles().end());
+    return out;
+  };
+
+  for (const int pipes : {1, 4}) {
+    SCOPED_TRACE("pipelines " + std::to_string(pipes));
+    const Outcome ref = run(Kernel::kScalar, pipes);
+    const Outcome vec = run(kernel, pipes);
+    ASSERT_EQ(ref.passes.size(), vec.passes.size());
+    std::int64_t skin_pushed = 0, interior_pushed = 0, emigrants = 0;
+    for (std::size_t i = 0; i < ref.passes.size(); ++i) {
+      const Pusher::Pass& a = ref.passes[i];
+      const Pusher::Pass& b = vec.passes[i];
+      expect_counters_eq(a.res, b.res, int(i / 2));
+      (i % 2 == 0 ? skin_pushed : interior_pushed) += a.res.pushed;
+      emigrants += std::int64_t(a.res.emigrants.size());
+      EXPECT_EQ(a.dead, b.dead) << "pass " << i;
+      ASSERT_EQ(a.res.emigrants.size(), b.res.emigrants.size()) << i;
+      EXPECT_EQ(std::memcmp(a.res.emigrants.data(), b.res.emigrants.data(),
+                            a.res.emigrants.size() * sizeof(Emigrant)),
+                0)
+          << "emigrants differ, pass " << i;
+    }
+    for (std::size_t s = 0; s < ref.acc.size(); ++s)
+      EXPECT_EQ(std::memcmp(ref.acc[s].data(), vec.acc[s].data(),
+                            ref.acc[s].size() * sizeof(CellAccum)),
+                0)
+          << "accumulator blocks differ after step " << s;
+    ASSERT_EQ(ref.particles.size(), vec.particles.size());
+    EXPECT_EQ(std::memcmp(ref.particles.data(), vec.particles.data(),
+                          ref.particles.size() * sizeof(Particle)),
+              0);
+    // Not vacuous: both passes push full batches, and skin particles leave.
+    EXPECT_GT(skin_pushed, 2 * W * pipes);
+    EXPECT_GT(interior_pushed, 2 * W * pipes);
+    EXPECT_GT(emigrants, 0);
+  }
 }
 
 }  // namespace

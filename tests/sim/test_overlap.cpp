@@ -1,16 +1,19 @@
 // The overlapped step loop's determinism contract (docs/OVERLAP.md): the
 // barriered and overlapped schedules run the same two-pass particle
 // advance (skin cells, then interior) and the same exchange sequence, so
-// at any rank and pipeline count the final fields, particles, and counters
-// must be bit-identical — overlap changes only *when* the exchange runs,
-// never what it computes. Plus the overlap ledger's accounting identities
-// and the capstone: injected faults mid-overlap recover bit-identically.
+// at any rank, pipeline count and kernel the final fields, particles, and
+// counters must be bit-identical — overlap changes only *when* the
+// exchange runs, never what it computes. Plus the overlap ledger's
+// accounting identities and the capstone: injected faults mid-overlap
+// recover bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "particles/kernel.hpp"
 #include "particles/particle.hpp"
 #include "particles/species.hpp"
 #include "sim/deck.hpp"
@@ -29,10 +32,12 @@ constexpr int kSteps = 16;
 /// inter-rank migration when decomposed along x, and wall refluxes drawing
 /// from the per-pipeline RNG streams — every mechanism whose ordering the
 /// overlap contract pins down.
-Deck overlap_deck(int pipelines, Deck::Overlap overlap) {
+Deck overlap_deck(int pipelines, Deck::Overlap overlap,
+                  particles::Kernel kernel = particles::Kernel::kScalar) {
   Deck deck = two_stream_deck(/*cells=*/32, /*ppc=*/8);
   deck.pipelines = pipelines;
   deck.overlap = overlap;
+  deck.kernel = kernel;
   deck.grid.boundary = grid::lpi_boundaries();  // absorbing x field walls
   deck.particle_bc[grid::kFaceXLo] = particles::ParticleBc::kReflux;
   deck.particle_bc[grid::kFaceXHi] = particles::ParticleBc::kReflux;
@@ -111,9 +116,9 @@ void expect_bit_identical(const Snapshot& a, const Snapshot& b,
 }
 
 void run_mode(int ranks, int pipelines, Deck::Overlap overlap,
-              Snapshot* snap) {
+              particles::Kernel kernel, Snapshot* snap) {
   snap->ranks.resize(std::size_t(ranks));
-  const Deck deck = overlap_deck(pipelines, overlap);
+  const Deck deck = overlap_deck(pipelines, overlap, kernel);
   vmpi::run(ranks, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({ranks, 1, 1}, {true, true, true});
     Simulation sim(deck, &comm, &topo);
@@ -127,12 +132,20 @@ class OverlapBitExact
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(OverlapBitExact, OverlappedMatchesBarriered) {
+  // The kernel axis: the scalar reference, and the widest SIMD kernel,
+  // which runs both passes over index lists in full batches beside the
+  // comm worker.
   const int ranks = std::get<0>(GetParam());
   const int pipelines = std::get<1>(GetParam());
-  Snapshot barriered, overlapped;
-  run_mode(ranks, pipelines, Deck::Overlap::kOff, &barriered);
-  run_mode(ranks, pipelines, Deck::Overlap::kOn, &overlapped);
-  expect_bit_identical(barriered, overlapped);
+  for (const particles::Kernel kernel :
+       {particles::Kernel::kScalar,
+        particles::resolve_kernel(particles::Kernel::kAuto)}) {
+    SCOPED_TRACE(std::string("kernel ") + particles::kernel_name(kernel));
+    Snapshot barriered, overlapped;
+    run_mode(ranks, pipelines, Deck::Overlap::kOff, kernel, &barriered);
+    run_mode(ranks, pipelines, Deck::Overlap::kOn, kernel, &overlapped);
+    expect_bit_identical(barriered, overlapped);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankPipelineMatrix, OverlapBitExact,
