@@ -11,22 +11,29 @@
 //      int32 voxel and the weight ride through as raw bits (transposes are
 //      bit-preserving; no arithmetic ever touches the voxel column). The W
 //      rows are W consecutive particles, or the next W entries of an index
-//      list, addressed by offsets from the batch's first particle.
-//   2. load_tr keyed by voxel: gathered transpose of the 80-byte
+//      list, addressed by offsets from the batch's first particle; the
+//      4- and 16-wide kernels read them as row loads, the 8-wide one
+//      gathers.
+//   2. load_tr keyed by voxel: transposed load of each lane's 80-byte
 //      Interpolator (18 coefficient columns at stride 20 floats). The
 //      4-wide kernel reads 20 columns so every 4x4 transpose block is full
 //      — the pad0/pad1 floats exist precisely to make the stride
-//      block-friendly (interpolator.hpp); gather-based widths read 18.
+//      block-friendly (interpolator.hpp). The 8-wide kernel gathers the 18;
+//      the 16-wide one reads the first 16 as row loads and a 16x16
+//      transpose and gathers only cbz and dcbzdz.
 //   3. Boris rotation + position update in registers, as the *same
 //      operation sequence* as the scalar loop in push.cpp: IEEE
 //      correctly-rounded add/sub/mul/div/sqrt only, no FMA, so every lane
 //      rounds bit-identically to the scalar reference.
-//   4. store_tr back: momenta for all lanes; positions blended so lanes
+//   4. store_tr back, as row stores after a register transpose at every
+//      native width: momenta for all lanes; positions blended so lanes
 //      that leave their cell keep the pre-move offsets move_p starts from.
-//   5. Deposit/spill in lane order (= particle order): in-cell lanes add
-//      their precomputed quadrant currents to the accumulator; minority
-//      crossing/boundary lanes spill to the scalar move_p — same RNG
-//      stream, same draw order, same emigrant and dead ordering as scalar.
+//   5. Deposit/spill in lane order (= particle order): the 12 quadrant
+//      addends are store_tr'd lane-major into `dep` (the 16-wide kernel as
+//      three in-lane 4x4 transposes and 16-byte row stores), then in-cell
+//      lanes add theirs to the accumulator; minority crossing/boundary
+//      lanes spill to the scalar move_p — same RNG stream, same draw
+//      order, same emigrant and dead ordering as scalar.
 //   6. The call's remainder ((end - begin) % W slots) runs the scalar
 //      reference loop: one remainder per slice, or per index list.
 #pragma once
@@ -77,7 +84,7 @@ void advance_range_simd(const Pusher& pusher, Species& sp,
   alignas(64) std::int32_t ioff[W];
 
   // Interpolator columns to fetch: the 4-wide transpose reads the two pads
-  // too so every 4x4 block is full; gathers fetch exactly the 18 used.
+  // too so every 4x4 block is full; the wider kernels fetch the 18 used.
   constexpr int kFCols = (W == 4) ? 20 : 18;
   enum : int {
     kEx, kDexdy, kDexdz, kD2exdydz,

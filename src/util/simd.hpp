@@ -7,7 +7,7 @@
 // transposes (load_4x4_tr / store_4x4_tr and friends in the original SPE
 // kernels): they move N columns of W rows between memory and N packs, which
 // is how the particle advance turns the 32-byte AoS particle and the
-// 80-byte gathered interpolator into SoA registers.
+// 80-byte interpolator of each particle's cell into SoA registers.
 //
 // Determinism contract (docs/KERNELS.md): every operation here rounds
 // exactly like its scalar counterpart — add/sub/mul/div/sqrt are the IEEE
@@ -142,13 +142,13 @@ constexpr unsigned all_lanes() {
   return (W >= 32) ? ~0u : ((1u << W) - 1u);
 }
 
-// -- transposed gathers/scatters (the VPIC load_WxN_tr family) --------------
+// -- transposed loads/stores (the VPIC load_WxN_tr family) ------------------
 
 /// Transposed load: out[c].lane(w) = base[off[w] + c] for c in [0, n).
 /// Row w must have at least n readable floats at base + off[w]. The generic
 /// path goes through per-lane memcpy (bit-preserving — safe for the int32
 /// voxel column of a Particle); native widths override with register
-/// transposes or hardware gathers below.
+/// transposes below (the 8-wide load with hardware gathers).
 template <int W>
 inline void load_tr(const float* base, const std::int32_t* off, int n,
                     pack<W>* out) {
@@ -483,27 +483,155 @@ inline pack<16> select(mask<16> m, pack<16> a, pack<16> b) {
   return {_mm512_mask_blend_ps(m.v, b.v, a.v)};  // blend picks a where set
 }
 
-/// 16-row transposed load/store via hardware gather/scatter (AVX-512F has
-/// both, so no shuffle ladder is needed at this width).
+// 16-row transposes, one per shape the particle advance uses. Rows are read
+// and written with plain vector loads and stores of exactly a block's
+// columns and transposed in registers, so a row needs only the columns
+// asked for, and no scatter is ever issued. -mavx512f implies AVX2, so the
+// 8x8 ladder above is available here. The helpers are forced inline: GCC
+// otherwise keeps the 16x16 block out of line, and its 16 columns then
+// travel back to the kernel through memory.
+
+/// Lanes 0-7 from lo, lanes 8-15 from hi. AVX-512F has no 256-bit float
+/// insert; the 64-bit one moves the same bits.
+[[gnu::always_inline]] inline __m512 join8(__m256 lo, __m256 hi) {
+  return _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castps_pd(_mm512_castps256_ps512(lo)), _mm256_castps_pd(hi), 1));
+}
+
+/// Lanes 8-15 of v.
+[[gnu::always_inline]] inline __m256 high8(__m512 v) {
+  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+}
+
+/// 16 rows x 16 columns (the interpolator's first 16 coefficients): one
+/// 64-byte load per row, an unpack/shuffle ladder that transposes each
+/// 128-bit lane, then a 4x4 transpose of the 128-bit blocks.
+[[gnu::always_inline]] inline void load_16x16_tr(const float* base,
+                                                 const std::int32_t* off,
+                                                 pack<16>* out) {
+  __m512 t[16], u[16];
+  for (int w = 0; w < 16; w += 2) {
+    const __m512 a = _mm512_loadu_ps(base + off[w]);
+    const __m512 b = _mm512_loadu_ps(base + off[w + 1]);
+    t[w] = _mm512_unpacklo_ps(a, b);
+    t[w + 1] = _mm512_unpackhi_ps(a, b);
+  }
+  // Lane L of u[4g + j] holds column 4L + j of rows 4g .. 4g + 3.
+  for (int g = 0; g < 16; g += 4) {
+    u[g] = _mm512_shuffle_ps(t[g], t[g + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[g + 1] = _mm512_shuffle_ps(t[g], t[g + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[g + 2] = _mm512_shuffle_ps(t[g + 1], t[g + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[g + 3] = _mm512_shuffle_ps(t[g + 1], t[g + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  // Column 4L + j is lane L of u[j], u[4 + j], u[8 + j] and u[12 + j].
+  for (int j = 0; j < 4; ++j) {
+    const __m512 v0 =
+        _mm512_shuffle_f32x4(u[j], u[4 + j], _MM_SHUFFLE(1, 0, 1, 0));
+    const __m512 v1 =
+        _mm512_shuffle_f32x4(u[j], u[4 + j], _MM_SHUFFLE(3, 2, 3, 2));
+    const __m512 v2 =
+        _mm512_shuffle_f32x4(u[8 + j], u[12 + j], _MM_SHUFFLE(1, 0, 1, 0));
+    const __m512 v3 =
+        _mm512_shuffle_f32x4(u[8 + j], u[12 + j], _MM_SHUFFLE(3, 2, 3, 2));
+    out[j].v = _mm512_shuffle_f32x4(v0, v2, _MM_SHUFFLE(2, 0, 2, 0));
+    out[4 + j].v = _mm512_shuffle_f32x4(v0, v2, _MM_SHUFFLE(3, 1, 3, 1));
+    out[8 + j].v = _mm512_shuffle_f32x4(v1, v3, _MM_SHUFFLE(2, 0, 2, 0));
+    out[12 + j].v = _mm512_shuffle_f32x4(v1, v3, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+}
+
+/// 16 rows x 8 columns (the particle): one 32-byte load per row, an 8x8
+/// ladder for each half of the rows, the halves joined lane-wise.
+[[gnu::always_inline]] inline void load_16x8_tr(const float* base,
+                                                const std::int32_t* off,
+                                                pack<16>* out) {
+  __m256 lo[8], hi[8];
+  for (int w = 0; w < 8; ++w) {
+    lo[w] = _mm256_loadu_ps(base + off[w]);
+    hi[w] = _mm256_loadu_ps(base + off[w + 8]);
+  }
+  transpose8(lo);
+  transpose8(hi);
+  for (int c = 0; c < 8; ++c) out[c].v = join8(lo[c], hi[c]);
+}
+
+/// Inverse of load_16x8_tr: one 32-byte store per row.
+[[gnu::always_inline]] inline void store_16x8_tr(const pack<16>* in,
+                                                 float* base,
+                                                 const std::int32_t* off) {
+  __m256 lo[8], hi[8];
+  for (int c = 0; c < 8; ++c) {
+    lo[c] = _mm512_castps512_ps256(in[c].v);
+    hi[c] = high8(in[c].v);
+  }
+  transpose8(lo);
+  transpose8(hi);
+  for (int w = 0; w < 8; ++w) {
+    _mm256_storeu_ps(base + off[w], lo[w]);
+    _mm256_storeu_ps(base + off[w + 8], hi[w]);
+  }
+}
+
+/// 16 rows x 4 columns (one jx/jy/jz group of the deposit's addends): a
+/// 4x4 transpose inside each 128-bit lane puts row 4L + i in lane L of
+/// r[i], then one 16-byte store per row.
+[[gnu::always_inline]] inline void store_16x4_tr(const pack<16>* in,
+                                                 float* base,
+                                                 const std::int32_t* off) {
+  const __m512 t0 = _mm512_unpacklo_ps(in[0].v, in[1].v);
+  const __m512 t1 = _mm512_unpackhi_ps(in[0].v, in[1].v);
+  const __m512 t2 = _mm512_unpacklo_ps(in[2].v, in[3].v);
+  const __m512 t3 = _mm512_unpackhi_ps(in[2].v, in[3].v);
+  const __m512 r[4] = {
+      _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+      _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2)),
+  };
+  for (int i = 0; i < 4; ++i) {
+    _mm_storeu_ps(base + off[i], _mm512_castps512_ps128(r[i]));
+    _mm_storeu_ps(base + off[4 + i], _mm512_extractf32x4_ps(r[i], 1));
+    _mm_storeu_ps(base + off[8 + i], _mm512_extractf32x4_ps(r[i], 2));
+    _mm_storeu_ps(base + off[12 + i], _mm512_extractf32x4_ps(r[i], 3));
+  }
+}
+
+/// 16-row transposed load in 16- then 8-column blocks, then one hardware
+/// gather per leftover column (n & 7 of them): none for the particle, two
+/// (cbz, dcbzdz) for the interpolator's 18.
 template <>
-inline void load_tr<16>(const float* base, const std::int32_t* off, int n,
-                        pack<16>* out) {
+[[gnu::always_inline]] inline void load_tr<16>(const float* base,
+                                               const std::int32_t* off, int n,
+                                               pack<16>* out) {
+  int c = 0;
+  for (; c + 16 <= n; c += 16) load_16x16_tr(base + c, off, out + c);
+  for (; c + 8 <= n; c += 8) load_16x8_tr(base + c, off, out + c);
   const __m512i offv =
       _mm512_loadu_si512(reinterpret_cast<const void*>(off));
-  for (int c = 0; c < n; ++c) {
+  for (int r = 0; r < (n & 7); ++r, ++c) {
     const __m512i idx = _mm512_add_epi32(offv, _mm512_set1_epi32(c));
     out[c].v = _mm512_i32gather_ps(idx, base, 4);
   }
 }
 
+/// 16-row transposed store: the particle's 8 columns through the 16x8
+/// ladder; any other count in 4-column blocks (the deposit's 12 addends
+/// take three) and a per-lane tail of n & 3 columns.
 template <>
-inline void store_tr<16>(const pack<16>* in, int n, float* base,
-                         const std::int32_t* off) {
-  const __m512i offv =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(off));
-  for (int c = 0; c < n; ++c) {
-    const __m512i idx = _mm512_add_epi32(offv, _mm512_set1_epi32(c));
-    _mm512_i32scatter_ps(base, idx, in[c].v, 4);
+[[gnu::always_inline]] inline void store_tr<16>(const pack<16>* in, int n,
+                                                float* base,
+                                                const std::int32_t* off) {
+  if (n == 8) {
+    store_16x8_tr(in, base, off);
+    return;
+  }
+  int c = 0;
+  for (; c + 4 <= n; c += 4) store_16x4_tr(in + c, base + c, off);
+  for (int r = 0; r < (n & 3); ++r, ++c) {
+    float t[16];
+    in[c].storeu(t);
+    for (int w = 0; w < 16; ++w)
+      std::memcpy(base + off[w] + c, &t[w], sizeof(float));
   }
 }
 

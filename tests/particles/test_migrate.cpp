@@ -104,8 +104,12 @@ TEST(MigrateTest, PeriodicWrapAcrossRanks) {
     }
     pic.step({&sp});
     const long long mine = (long long)sp.size();
-    if (comm.rank() == 0) EXPECT_EQ(mine, 1);
-    if (comm.rank() == 1) EXPECT_EQ(mine, 0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(mine, 1);
+    }
+    if (comm.rank() == 1) {
+      EXPECT_EQ(mine, 0);
+    }
   });
 }
 
@@ -132,7 +136,9 @@ TEST(MigrateTest, CornerHopTakesTwoRounds) {
         comm.allreduce_value<long long>((long long)sp.size(), vmpi::Op::kSum);
     EXPECT_EQ(total, 1);
     // It should end up on the diagonal rank (rank 3).
-    if (comm.rank() == 3) EXPECT_EQ(sp.size(), 1u);
+    if (comm.rank() == 3) {
+      EXPECT_EQ(sp.size(), 1u);
+    }
   });
 }
 
