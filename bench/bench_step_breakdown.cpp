@@ -12,7 +12,7 @@
 //                   (default: sweep scalar plus the widest available)
 //   --steps=N       timed steps per configuration (default 100)
 //   --sort-every=N  override the deck's bin-sort cadence (0 = never sort;
-//                   default: the LPI deck's sort_period of 20) — the "sort"
+//                   default: the LPI deck's sort_every of 20) — the "sort"
 //                   row and the push rate move together (docs/SORTING.md)
 //   --json=PATH     machine-readable results: one record per swept
 //                   (pipelines, kernel) point carrying the full telemetry

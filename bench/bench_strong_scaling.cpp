@@ -4,7 +4,7 @@
 // scaling story the paper's fixed-size runs tell.
 //
 // Each rank count now runs twice: with the barriered step loop
-// (--overlap=off semantics: two-pass push, inline exchange) and with the
+// (Deck::Overlap::kOff: two-pass push, inline exchange) and with the
 // overlapped loop (docs/OVERLAP.md: the exchange runs on a comm worker
 // concurrently with the interior push). Both schedules produce bit-identical
 // physics; what changes is where the exchange sits relative to the critical
@@ -40,7 +40,7 @@ sim::Deck scaling_deck(bool overlap) {
   deck.grid.nx = 32;
   deck.grid.ny = deck.grid.nz = 12;
   deck.grid.dx = deck.grid.dy = deck.grid.dz = 0.4;
-  deck.overlap = overlap ? sim::Deck::Overlap::kOn : sim::Deck::Overlap::kOff;
+  deck.overlap = overlap ? sim::Deck::Overlap::kAuto : sim::Deck::Overlap::kOff;
   sim::SpeciesConfig e;
   e.name = "electron";
   e.q = -1;

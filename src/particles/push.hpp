@@ -20,32 +20,20 @@
 // own counter-based RNG stream, and records its emigrants/dead particles
 // privately. After the barrier the per-pipeline results are spliced in
 // pipeline order, which — because the partition is contiguous — reproduces
-// the serial particle order exactly: counters, emigrant order, and removal
-// order are identical to the 1-pipeline reference on decks without reflux
-// walls, and every trajectory is bit-identical (each particle reads only
-// its own state and the shared read-only interpolator). The reduced J
-// (AccumulatorArray::reduce()) is bit-identical to serial when no cell
-// collects more than one deposit per block, and agrees to float rounding
-// (ULPs per cell) on dense decks — the per-cell addition *order* inside a
-// later block differs from the serial running sum. For a fixed pipeline
-// count every run is bit-wise reproducible. Reflux draws come from
-// per-pipeline streams, so refluxed momenta differ *statistically* (not
-// physically) across pipeline counts.
+// the serial particle order exactly.
 //
 // SIMD kernels (push_simd.hpp, docs/KERNELS.md): set_kernel() swaps the
 // per-slice advance for a W-wide vector kernel that mirrors the scalar
 // operation sequence exactly — same IEEE correctly-rounded add/mul/div/
 // sqrt, no FMA contraction, deposits and move_p spills executed in particle
-// order. The SIMD kernels are therefore designed to be bit-identical to
-// the scalar reference (trajectories, counters, emigrant order, reflux
-// draws, and J alike); the *documented* contract the tests assert is the
-// same one as the pipeline layer's — exact counters, trajectories to
-// <= 4 ULP, bit-exact J at <= 1 deposit per cell per block — so a future
-// kernel with a weaker guarantee (e.g. an FMA variant) has room to exist
-// without rewording every test. Kernel choice composes with pipelines:
-// each pipeline runs the selected kernel over its own contiguous slice (or,
-// in the two-pass advance, over its slice's skin and interior index lists
-// in full W-wide batches).
+// order — so it is byte-identical to the scalar reference. Kernel choice
+// composes with pipelines: each pipeline runs the selected kernel over its
+// own contiguous slice (or, in the two-pass advance, over its slice's skin
+// and interior index lists in full W-wide batches).
+//
+// What each axis (kernel, pipeline count, overlap, sort cadence, rollback)
+// keeps identical is stated once, with its tests, in docs/ARCHITECTURE.md
+// "Determinism contract".
 #pragma once
 
 #include <cstdint>
@@ -143,15 +131,10 @@ class Pusher {
   /// rank's voxel. On kEmigrated, `*out` describes the next hop. Deposits
   /// into `acc_block` — the overlap scheduler passes a dedicated migration
   /// block so the exchange can deposit concurrently with the interior
-  /// pass; the AccumulatorArray overload keeps the old block-0 behavior.
+  /// pass.
   MoveStatus continue_move(Particle& p, Mover& m, float macro_charge,
                            CellAccum* acc_block, Emigrant* out,
                            Result* stats) const;
-  MoveStatus continue_move(Particle& p, Mover& m, float macro_charge,
-                           AccumulatorArray& acc, Emigrant* out,
-                           Result* stats) const {
-    return continue_move(p, m, macro_charge, acc.data(), out, stats);
-  }
 
   const ParticleBcSpec& bc() const { return bc_; }
 

@@ -184,7 +184,7 @@ void DeckSource::apply_override(const DeckOverride& ov) {
       return;
     }
   }
-  // Singleton sections may be created on demand ("control.sort_period = 10"
+  // Singleton sections may be created on demand ("control.sort_every = 10"
   // on a deck with no [control] block); a species or collision section must
   // exist — an override cannot invent one.
   const std::string kind = ov.section.substr(0, ov.section.find(' '));
@@ -303,19 +303,16 @@ Deck DeckSource::build() const {
       lc.polarize_z = to_bool(s, "polarize_z", false);
       deck.laser = lc;
     } else if (kind == "control") {
-      check_known(s, {"sort_period", "sort_every", "clean_period",
-                      "clean_passes",
+      check_known(s, {"sort_every", "clean_period", "clean_passes",
                       "init_settle_passes", "collision_seed", "pipelines",
-                      "kernel", "overlap",
-                      "checkpoint_every", "checkpoint_keep", "health_period",
-                      "health_policy", "health_max_energy_growth",
-                      "health_max_particle_loss", "health_rollback_window"});
-      // `sort_every` is the documented name (docs/SORTING.md); `sort_period`
-      // is the original spelling and still accepted. When both appear,
-      // sort_every wins. 0 = never sort; the deck-file default stays 20
-      // (the seed behavior every measured rate in the docs assumes).
-      deck.sort_period = to_int(s, "sort_every",
-                                to_int(s, "sort_period", 20));
+                      "kernel", "checkpoint_every", "checkpoint_keep",
+                      "health_period", "health_policy",
+                      "health_max_energy_growth", "health_max_particle_loss",
+                      "health_rollback_window"});
+      // Steps between bin sorts (docs/SORTING.md). 0 = never sort; the
+      // deck-file default stays 20 (the seed behavior every measured rate
+      // in the docs assumes).
+      deck.sort_period = to_int(s, "sort_every", 20);
       // Deck files are the production front end: default to hardware-aware
       // (0 = one pipeline per hardware thread). Programmatic decks keep the
       // serial default of the Deck struct.
@@ -328,20 +325,6 @@ Deck DeckSource::build() const {
         deck.kernel = particles::parse_kernel(it->second);
       } else {
         deck.kernel = particles::Kernel::kAuto;
-      }
-      // Comm/compute overlap (docs/OVERLAP.md): on | off | auto. The
-      // default stays kAuto (on for multi-rank runs, off otherwise).
-      if (const auto it = s.values.find("overlap"); it != s.values.end()) {
-        if (it->second == "on") {
-          deck.overlap = Deck::Overlap::kOn;
-        } else if (it->second == "off") {
-          deck.overlap = Deck::Overlap::kOff;
-        } else if (it->second == "auto") {
-          deck.overlap = Deck::Overlap::kAuto;
-        } else {
-          MV_REQUIRE(false, "deck [control] overlap: unknown mode '"
-                                << it->second << "' (on|off|auto)");
-        }
       }
       deck.clean_period = to_int(s, "clean_period", 0);
       deck.clean_passes = to_int(s, "clean_passes", 2);

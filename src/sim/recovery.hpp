@@ -10,7 +10,7 @@
 // all ranks return. The coordinator then tears the world down, relaunches a
 // full-size replacement, and resumes every rank from the newest *mutually
 // agreed* checkpoint set. Because stepping and checkpoint restore are
-// bit-deterministic (docs/FAULTS.md "Determinism after rollback"), a
+// bit-deterministic (docs/ARCHITECTURE.md "Determinism contract"), a
 // recovered run finishes with state bit-identical to a fault-free run.
 //
 // A rank killed by a scheduled FaultPlane kill marks itself dead (the

@@ -53,8 +53,8 @@ Simulation::Simulation(const Deck& deck, vmpi::Comm* comm,
   // here, before any particles are loaded).
   pusher_.set_kernel(deck.kernel);
   // Overlap resolution (docs/OVERLAP.md): kAuto follows the skin — overlap
-  // pays off exactly when there is a remote neighbor to exchange with. kOn
-  // also degrades to barriered on single-rank grids (nothing to hide).
+  // pays off exactly when there is a remote neighbor to exchange with, so a
+  // single-rank grid runs barriered (nothing to hide).
   overlap_ = deck.overlap != Deck::Overlap::kOff && comm != nullptr &&
              comm->size() > 1;
   if (overlap_) comm_worker_ = std::make_unique<util::Worker>();

@@ -109,9 +109,9 @@ class Simulation {
   /// Resolved particle-advance kernel (never kAuto; see particles/kernel.hpp).
   particles::Kernel kernel() const { return pusher_.kernel(); }
   const ParticleStats& particle_stats() const { return stats_; }
-  /// True when the step loop runs the overlapped schedule (Deck::overlap
-  /// resolved against the communicator at construction).
-  bool overlap() const { return overlap_; }
+  /// Overlap ledger; `enabled` is true when the step loop runs the
+  /// overlapped schedule (Deck::overlap resolved against the communicator
+  /// at construction).
   const OverlapStats& overlap_stats() const { return overlap_stats_; }
   /// Cumulative busy wall seconds per pipeline inside the particle advance
   /// (index = pipeline id; empty before the first step). The spread across

@@ -9,7 +9,7 @@
 // is how the particle advance turns the 32-byte AoS particle and the
 // 80-byte interpolator of each particle's cell into SoA registers.
 //
-// Determinism contract (docs/KERNELS.md): every operation here rounds
+// Determinism contract (docs/ARCHITECTURE.md): every operation here rounds
 // exactly like its scalar counterpart — add/sub/mul/div/sqrt are the IEEE
 // correctly-rounded instructions on every backend, there is deliberately NO
 // fused-multiply-add, and negation flips the sign bit. A kernel written as

@@ -156,45 +156,6 @@ Message Mailbox::pop(int src, int tag, Clock::time_point deadline) {
   }
 }
 
-void Mailbox::probe(int src, int tag, int* out_src, int* out_tag,
-                    std::size_t* out_bytes, Clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (poisoned_)
-      throw CommError(Fault::kPoisoned,
-                      "vmpi probe aborted: " + poison_reason_);
-    if (revoked_ && tag != kAgreeTag)
-      throw CommError(Fault::kRevoked, "vmpi probe aborted: " + revoke_reason_);
-    if (Message* m = find(src, tag)) {
-      *out_src = m->source;
-      *out_tag = m->tag;
-      *out_bytes = m->payload.size();
-      return;
-    }
-    const Clock::time_point bound = check_and_bound(src, tag, deadline);
-    if (bound == kNoDeadline)
-      cv_.wait(lock);
-    else
-      cv_.wait_until(lock, bound);
-  }
-}
-
-bool Mailbox::iprobe(int src, int tag, int* out_src, int* out_tag,
-                     std::size_t* out_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (poisoned_)
-    throw CommError(Fault::kPoisoned, "vmpi iprobe aborted: " + poison_reason_);
-  if (revoked_ && tag != kAgreeTag)
-    throw CommError(Fault::kRevoked, "vmpi iprobe aborted: " + revoke_reason_);
-  if (Message* m = find(src, tag)) {
-    *out_src = m->source;
-    *out_tag = m->tag;
-    *out_bytes = m->payload.size();
-    return true;
-  }
-  return false;
-}
-
 std::shared_ptr<PostedRecv> Mailbox::post(int src, int tag) {
   auto entry = std::make_shared<PostedRecv>();
   entry->src = src;
@@ -244,8 +205,8 @@ bool Mailbox::try_claim(const std::shared_ptr<PostedRecv>& entry,
     erase_posted_locked(entry);
     return true;
   }
-  // Like iprobe, the non-blocking path reports lost predecessors (via find)
-  // but not peer death, so pollers can keep draining stragglers.
+  // The non-blocking path reports lost predecessors (via find) but not peer
+  // death, so pollers can keep draining stragglers.
   return claim_from_queue_locked(entry, out);
 }
 
@@ -440,14 +401,10 @@ std::uint64_t World::death_epoch() const {
 
 struct Request::Impl {
   Comm* comm = nullptr;
-  int src = kAnySource;
-  int tag = kAnyTag;
-  void* data = nullptr;
-  std::size_t capacity = 0;
   bool done = false;
   Status status;
-  // Posted-receive state (ipost): the mailbox entry a send fulfills, the
-  // delivered payload, and the one-shot completion callback.
+  // The mailbox entry a send fulfills, the delivered payload, and the
+  // one-shot completion callback.
   std::shared_ptr<detail::PostedRecv> entry;
   std::vector<std::byte> payload;
   RecvCallback on_complete;
@@ -466,18 +423,8 @@ const std::vector<std::byte>& Request::bytes() const {
 
 bool Request::test(Status* status) {
   MV_REQUIRE(impl_ != nullptr, "test on an empty request");
-  Impl& impl = *impl_;
-  if (!impl.done) {
-    if (impl.entry != nullptr) {
-      if (!impl.comm->test_posted(impl)) return false;
-    } else {
-      if (!impl.comm->iprobe(impl.src, impl.tag, nullptr)) return false;
-      impl.status =
-          impl.comm->recv_bytes(impl.src, impl.tag, impl.data, impl.capacity);
-      impl.done = true;
-    }
-  }
-  if (status != nullptr) *status = impl.status;
+  if (!impl_->done && !impl_->comm->try_complete(*impl_)) return false;
+  if (status != nullptr) *status = impl_->status;
   return true;
 }
 
@@ -595,49 +542,12 @@ Status Comm::recv_bytes(int src, int tag, void* data, std::size_t capacity) {
   }
 }
 
-Status Comm::probe(int src, int tag) {
-  Status st;
-  std::size_t bytes = 0;
-  try {
-    world_->mailbox(rank_).probe(src, tag, &st.source, &st.tag, &bytes,
-                                 call_deadline());
-  } catch (const CommError& e) {
-    notify(kCommHookFault, src, static_cast<int>(e.fault()), 0);
-    throw;
-  }
-  st.bytes = bytes;
-  return st;
-}
-
-bool Comm::iprobe(int src, int tag, Status* status) {
-  Status st;
-  std::size_t bytes = 0;
-  if (!world_->mailbox(rank_).iprobe(src, tag, &st.source, &st.tag, &bytes))
-    return false;
-  st.bytes = bytes;
-  if (status != nullptr) *status = st;
-  return true;
-}
-
-Request Comm::irecv_bytes(int src, int tag, void* data, std::size_t capacity) {
-  Request req;
-  req.impl_ = std::make_shared<Request::Impl>();
-  req.impl_->comm = this;
-  req.impl_->src = src;
-  req.impl_->tag = tag;
-  req.impl_->data = data;
-  req.impl_->capacity = capacity;
-  return req;
-}
-
 Request Comm::ipost(int src, int tag, RecvCallback on_complete) {
   MV_REQUIRE(src == kAnySource || (src >= 0 && src < size_),
              "posted recv from invalid rank " << src);
   Request req;
   req.impl_ = std::make_shared<Request::Impl>();
   req.impl_->comm = this;
-  req.impl_->src = src;
-  req.impl_->tag = tag;
   req.impl_->on_complete = std::move(on_complete);
   req.impl_->entry = world_->mailbox(rank_).post(src, tag);
   return req;
@@ -646,18 +556,18 @@ Request Comm::ipost(int src, int tag, RecvCallback on_complete) {
 void Comm::cancel(Request& request) {
   if (request.impl_ == nullptr) return;
   Request::Impl& impl = *request.impl_;
-  if (impl.entry != nullptr && !impl.done)
-    world_->mailbox(rank_).cancel(impl.entry);
+  if (!impl.done) world_->mailbox(rank_).cancel(impl.entry);
   // The request no longer represents anything: drop it entirely so
   // valid() turns false (a canceled request is inert, not "completed").
   request.impl_.reset();
 }
 
-void Comm::complete_posted(Request::Impl& impl, detail::Message msg) {
-  // Observation-time half of a posted receive: everything that can fail or
-  // that observers may see (CRC verification, the recv hook, the completion
-  // callback) runs here, on the thread driving the request — bit-for-bit the
-  // semantics of the blocking recv path, just with transport already done.
+void Comm::complete(Request::Impl& impl, detail::Message msg) {
+  // Observation-time half of a nonblocking receive: everything that can fail
+  // or that observers may see (CRC verification, the recv hook, the
+  // completion callback) runs here, on the thread driving the request —
+  // bit-for-bit the semantics of the blocking recv path, just with transport
+  // already done.
   verify_frame(msg);
   impl.payload = std::move(msg.payload);
   impl.status = Status{msg.source, msg.tag, impl.payload.size()};
@@ -670,38 +580,28 @@ void Comm::complete_posted(Request::Impl& impl, detail::Message msg) {
   }
 }
 
-bool Comm::test_posted(Request::Impl& impl) {
+bool Comm::try_complete(Request::Impl& impl) {
   detail::Message msg;
   try {
     if (!world_->mailbox(rank_).try_claim(impl.entry, &msg)) return false;
-    complete_posted(impl, std::move(msg));
+    complete(impl, std::move(msg));
   } catch (const CommError& e) {
-    notify(kCommHookFault, impl.src, static_cast<int>(e.fault()), 0);
+    notify(kCommHookFault, impl.entry->src, static_cast<int>(e.fault()), 0);
     throw;
   }
   return true;
-}
-
-Status Comm::wait_posted(Request::Impl& impl) {
-  try {
-    detail::Message msg =
-        world_->mailbox(rank_).claim(impl.entry, call_deadline());
-    complete_posted(impl, std::move(msg));
-  } catch (const CommError& e) {
-    notify(kCommHookFault, impl.src, static_cast<int>(e.fault()), 0);
-    throw;
-  }
-  return impl.status;
 }
 
 Status Comm::wait(Request& request) {
   MV_REQUIRE(request.impl_ != nullptr, "wait on an empty request");
   Request::Impl& impl = *request.impl_;
   MV_REQUIRE(impl.comm == this, "request waited on a different communicator");
-  if (!impl.done) {
-    if (impl.entry != nullptr) return wait_posted(impl);
-    impl.status = recv_bytes(impl.src, impl.tag, impl.data, impl.capacity);
-    impl.done = true;
+  if (impl.done) return impl.status;
+  try {
+    complete(impl, world_->mailbox(rank_).claim(impl.entry, call_deadline()));
+  } catch (const CommError& e) {
+    notify(kCommHookFault, impl.entry->src, static_cast<int>(e.fault()), 0);
+    throw;
   }
   return impl.status;
 }
@@ -764,50 +664,52 @@ std::int64_t Comm::agree_min(std::int64_t value, double timeout_seconds) {
     }
   }
 
+  // One posted receive per live peer. A posted entry stays registered in
+  // this rank's mailbox until claimed or canceled, so the receive of every
+  // rank the round excludes (dead or silent) is canceled.
   struct Pending {
     int rank = -1;
-    std::int64_t value = 0;
     Request req;
-    bool done = false;
+    bool open() const { return req.valid() && !req.done(); }
   };
-  std::vector<Pending> pending(live.size() - 1);
-  {
-    std::size_t i = 0;
-    for (int r : live) {
-      if (r == rank_) continue;
-      pending[i].rank = r;
-      ++i;
-    }
-  }
-  for (Pending& p : pending)
-    p.req = irecv_bytes(p.rank, detail::kAgreeTag, &p.value, sizeof(p.value));
+  std::vector<Pending> pending;
+  pending.reserve(live.size() - 1);
+  for (int r : live)
+    if (r != rank_) pending.push_back({r, ipost(r, detail::kAgreeTag)});
 
   std::int64_t result = value;
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    for (Pending& p : pending) {
-      if (p.done) continue;
-      if (p.req.test()) {
-        p.done = true;
-        --remaining;
-        result = std::min(result, p.value);
-      } else if (world_->is_dead(p.rank)) {
-        p.done = true;  // a dead rank is excluded from the agreement
-        --remaining;
-      }
-    }
-    if (remaining == 0) break;
-    if (detail::Clock::now() >= dl) {
+  try {
+    for (;;) {
+      bool waiting = false;
       for (Pending& p : pending) {
-        if (p.done) continue;
-        if (world_->stats() != nullptr) ++world_->stats()->timeouts;
-        world_->mark_dead(p.rank, "no response in the agreement round");
-        p.done = true;
-        --remaining;
+        if (!p.open()) continue;
+        if (p.req.test()) {
+          const std::vector<std::int64_t> got = p.req.take<std::int64_t>();
+          MV_REQUIRE(got.size() == 1, "agreement payload holds "
+                                          << got.size()
+                                          << " values, expected 1");
+          result = std::min(result, got[0]);
+        } else if (world_->is_dead(p.rank)) {
+          cancel(p.req);  // a dead rank is excluded from the agreement
+        } else {
+          waiting = true;
+        }
       }
-      break;
+      if (!waiting) break;
+      if (detail::Clock::now() >= dl) {
+        for (Pending& p : pending) {
+          if (!p.open()) continue;
+          if (world_->stats() != nullptr) ++world_->stats()->timeouts;
+          world_->mark_dead(p.rank, "no response in the agreement round");
+          cancel(p.req);
+        }
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  } catch (...) {
+    for (Pending& p : pending) cancel(p.req);
+    throw;
   }
 
   for (int r : world_->live_ranks())

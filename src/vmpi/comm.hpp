@@ -63,15 +63,13 @@ struct PostedRecv; // a pre-registered receive fulfilled at delivery time
 inline constexpr int kCollectiveTag = -2;
 }  // namespace detail
 
-/// Handle for a pending nonblocking receive.
+/// Handle for a pending nonblocking receive, made by Comm::ipost.
 ///
-/// Two flavors share this handle. A classic irecv (irecv_bytes) polls the
-/// mailbox on test()/wait() and copies into a caller buffer. A posted
-/// receive (ipost) is registered in the mailbox so a matching send completes
-/// it at delivery time — genuinely asynchronous progress, no polling needed —
-/// with the payload stored inside the request (retrieve with take<T>() or
-/// bytes()). Both run the full FT pipeline (CRC verification, typed faults,
-/// comm hooks) on the receiving rank's thread at the test()/wait() call that
+/// The receive is registered in the mailbox, so a matching send completes it
+/// at delivery time — genuinely asynchronous progress, no polling needed —
+/// with the payload stored inside the request (retrieve it with take<T>() or
+/// bytes()). The full FT pipeline (CRC verification, typed faults, comm
+/// hooks) runs on the receiving rank's thread at the test()/wait() call that
 /// first observes completion, never on the sender's thread.
 class Request {
  public:
@@ -81,23 +79,23 @@ class Request {
   /// True once test()/wait() observed completion.
   bool done() const;
 
-  /// Nonblocking completion check: if a matching message is queued (classic)
-  /// or the posted receive was fulfilled, consumes it and returns true
-  /// (filling `status` if given). Idempotent once complete, like wait().
+  /// Nonblocking completion check: if the receive was fulfilled or a
+  /// matching message is queued, consumes it and returns true (filling
+  /// `status` if given). Idempotent once complete, like wait().
   bool test(Status* status = nullptr);
 
-  /// Payload of a completed posted receive (empty for classic requests).
+  /// Payload of a completed receive.
   const std::vector<std::byte>& bytes() const;
 
-  /// Moves the payload of a completed posted receive out as a vector<T>;
+  /// Copies the payload of a completed receive out as a vector<T>;
   /// the payload length must be a multiple of sizeof(T).
   template <typename T>
   std::vector<T> take() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::vector<std::byte>& b = bytes();
     MV_REQUIRE(b.size() % sizeof(T) == 0,
-               "posted payload length " << b.size()
-                                        << " not a multiple of element size");
+               "payload length " << b.size()
+                                 << " not a multiple of element size");
     std::vector<T> out(b.size() / sizeof(T));
     if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
     return out;
@@ -109,7 +107,7 @@ class Request {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Callback invoked exactly once when a posted receive's completion is first
+/// Callback invoked exactly once when a receive's completion is first
 /// observed (inside test()/wait(), after CRC verification) — on the thread
 /// driving the request, never the sender's.
 using RecvCallback = std::function<void(const Status&)>;
@@ -130,14 +128,6 @@ class Comm {
 
   /// Blocking receive matching (src, tag); payload must fit `capacity`.
   Status recv_bytes(int src, int tag, void* data, std::size_t capacity);
-
-  /// Blocking probe: waits for a matching message and reports its size
-  /// without consuming it.
-  Status probe(int src, int tag);
-
-  /// Nonblocking probe; returns true and fills `status` if a matching
-  /// message is already queued.
-  bool iprobe(int src, int tag, Status* status);
 
   // -- point to point (typed) ---------------------------------------------
 
@@ -170,46 +160,21 @@ class Comm {
     return v;
   }
 
-  /// Receives a message of unknown length as a vector<T>; the payload length
-  /// must be a multiple of sizeof(T).
-  template <typename T>
-  std::vector<T> recv_any(int src, int tag, Status* status = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Status st = probe(src, tag);
-    MV_REQUIRE(st.bytes % sizeof(T) == 0,
-               "message length " << st.bytes
-                                 << " not a multiple of element size");
-    std::vector<T> out(st.bytes / sizeof(T));
-    Status got = recv_bytes(st.source, st.tag, out.data(), st.bytes);
-    MV_ASSERT(got.bytes == st.bytes);
-    if (status != nullptr) *status = got;
-    return out;
-  }
-
   // -- nonblocking ----------------------------------------------------------
 
-  /// Nonblocking receive; complete with wait(). (Sends are buffered, so an
-  /// isend is just send().)
-  template <typename T>
-  Request irecv(int src, int tag, std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return irecv_bytes(src, tag, out.data(), out.size_bytes());
-  }
-
-  Request irecv_bytes(int src, int tag, void* data, std::size_t capacity);
-
-  /// Posted receive of unknown size: registers the receive in this rank's
-  /// mailbox so a matching send completes it at delivery time (no receiver
-  /// polling). The payload lives inside the request — retrieve it with
-  /// Request::take<T>() / bytes() after wait() or a true test(). The
+  /// Nonblocking receive of unknown size: registers the receive in this
+  /// rank's mailbox so a matching send completes it at delivery time (no
+  /// receiver polling). The payload lives inside the request — retrieve it
+  /// with Request::take<T>() / bytes() after wait() or a true test(). The
   /// optional `on_complete` runs exactly once, on the thread that first
   /// observes completion. FIFO matching, CRC framing, sequencing, deadlines,
-  /// and fault typing are identical to the blocking recv path.
+  /// and fault typing are identical to the blocking recv path. (Sends are
+  /// buffered, so there is no isend: send() already returns at once.)
   Request ipost(int src, int tag, RecvCallback on_complete = {});
 
-  /// Deregisters an unfinished posted receive (e.g. when a sibling receive
-  /// failed and the exchange is being torn down) and invalidates the
-  /// request (valid() turns false). Safe on classic or completed requests:
+  /// Deregisters an unfinished receive (e.g. when a sibling receive failed
+  /// and the exchange is being torn down) and invalidates the request
+  /// (valid() turns false). Safe on completed or already-canceled requests:
   /// they are just invalidated.
   void cancel(Request& request);
 
@@ -326,12 +291,12 @@ class Comm {
   /// Deadline for a blocking call starting now (kNoDeadline if timeout 0).
   std::chrono::steady_clock::time_point call_deadline() const;
 
-  /// Posted-receive progress (shared by Request::test and wait): claims a
-  /// fulfilled/queued match and runs the observation-time FT pipeline.
+  /// Nonblocking-receive progress: Request::test claims without blocking
+  /// (try_complete), wait() blocks in the mailbox; both finish in
+  /// complete(), which runs the observation-time FT pipeline.
   friend class Request;
-  bool test_posted(Request::Impl& impl);
-  Status wait_posted(Request::Impl& impl);
-  void complete_posted(Request::Impl& impl, detail::Message msg);
+  bool try_complete(Request::Impl& impl);
+  void complete(Request::Impl& impl, detail::Message msg);
 
   /// Collective-plane p2p (reserved tag; exact-size receive).
   void send_internal(int dst, const void* data, std::size_t bytes);

@@ -38,7 +38,7 @@ struct Message {
   bool has_crc = false;
   std::uint64_t seq = 0;
   bool has_seq = false;
-  // Delay-fault hold: the message is invisible to pop/probe before this.
+  // Delay-fault hold: the message is invisible to pop/claim before this.
   Clock::time_point not_before{};
   bool delayed = false;
 };
@@ -69,28 +69,19 @@ class Mailbox {
   /// matched source, or (for a specific src) a dead peer.
   Message pop(int src, int tag, Clock::time_point deadline = kNoDeadline);
 
-  /// Waits for a match and reports metadata without consuming. Same failure
-  /// modes as pop.
-  void probe(int src, int tag, int* out_src, int* out_tag,
-             std::size_t* out_bytes, Clock::time_point deadline = kNoDeadline);
-
-  /// Non-blocking variant; returns false if nothing matches right now.
-  bool iprobe(int src, int tag, int* out_src, int* out_tag,
-              std::size_t* out_bytes);
-
-  /// Registers a posted receive for (src, tag). If a matching message is
-  /// already deliverable the entry completes immediately (the message is
-  /// consumed from the queue); otherwise a later push() fulfills it directly
+  /// Registers a posted receive for (src, tag) and returns the entry handle;
+  /// pure registration, never a throw. A later push() fulfills it directly
   /// — unless an earlier queued message matches the same pattern (FIFO) or
-  /// the arriving message is delay-held, in which cases the message queues
-  /// and the claim path picks it up. Returns the entry handle.
+  /// the arriving message is delay-held or follows a lost predecessor, in
+  /// which cases the message queues and the claim path picks it up, as it
+  /// does a match that was already queued at post time.
   std::shared_ptr<PostedRecv> post(int src, int tag);
 
   /// Non-blocking claim: moves the fulfilled message into *out and
   /// deregisters the entry when complete, also polling the queue (a
   /// delay-held match becomes claimable once its hold expires). Throws on
-  /// poison, revocation, or a lost predecessor — but, like iprobe, not on
-  /// peer death, so pollers can keep draining stragglers.
+  /// poison, revocation, or a lost predecessor — but not on peer death, so
+  /// pollers can keep draining stragglers.
   bool try_claim(const std::shared_ptr<PostedRecv>& entry, Message* out);
 
   /// Blocking claim with the same failure modes as pop (including peer

@@ -36,7 +36,7 @@ slab_x0 = 2.0  slab_x1 = 10.0
 omega0 = 3.16  a0 = 0.1  ramp = 5  plane = 2
 
 [control]
-sort_period = 10  clean_period = 25
+sort_every = 10  clean_period = 25
 )";
 
 TEST(DeckIoTest, ParsesFullLpiDeck) {
@@ -62,17 +62,17 @@ TEST(DeckIoTest, ParsesFullLpiDeck) {
   // [control] without a kernel key defaults to auto (deck files are the
   // production front end; the Deck struct default stays scalar).
   EXPECT_EQ(d.kernel, particles::Kernel::kAuto);
-  // Likewise without an overlap key: auto, resolved at Simulation build.
+  // Deck files have no overlap key: auto, resolved at Simulation build.
   EXPECT_EQ(d.overlap, Deck::Overlap::kAuto);
 }
 
 TEST(DeckIoTest, OverlapModeParses) {
+  // The overlap mode is not a deck setting: a `[control] overlap` key is
+  // rejected as unknown, whatever its value.
   const char* tmpl = "[grid]\nnx = 8\n[species e]\nq=-1 m=1 ppc=1 uth=0.01\n"
                      "[control]\noverlap = ";
-  EXPECT_EQ(parse(std::string(tmpl) + "on").overlap, Deck::Overlap::kOn);
-  EXPECT_EQ(parse(std::string(tmpl) + "off").overlap, Deck::Overlap::kOff);
-  EXPECT_EQ(parse(std::string(tmpl) + "auto").overlap, Deck::Overlap::kAuto);
-  EXPECT_THROW(parse(std::string(tmpl) + "sometimes"), Error);
+  for (const char* mode : {"on", "off", "auto"})
+    EXPECT_THROW(parse(std::string(tmpl) + mode), Error) << mode;
 }
 
 TEST(DeckIoTest, KernelKey) {
@@ -176,6 +176,10 @@ TEST(DeckIoTest, ErrorsAreSpecific) {
       parse("[grid]\nnx=4\n[species e]\nslab_x0=5\nslab_x1=2\n"), Error);
   // Unterminated section.
   EXPECT_THROW(parse("[grid\nnx=4\n"), Error);
+  // `sort_period`, the retired spelling of sort_every.
+  EXPECT_THROW(
+      parse("[grid]\nnx=4\n[species e]\nppc=1\n[control]\nsort_period=20\n"),
+      Error);
 }
 
 TEST(DeckIoTest, FileRoundTrip) {
@@ -222,13 +226,17 @@ TEST(DeckOverrideTest, UnknownKeysAndSectionsRejected) {
   // A species that does not exist cannot be created by an override.
   DeckSource src2 = DeckSource::from_text(kLpiDeck);
   EXPECT_THROW(src2.apply_override("species muon.uth", "0.1"), Error);
+  // The retired `sort_period` spelling is an unknown key too.
+  DeckSource src3 = DeckSource::from_text(kLpiDeck);
+  src3.apply_override("control.sort_period", "20");
+  EXPECT_THROW(src3.build(), Error);
 }
 
 TEST(DeckOverrideTest, OverrideCreatesSingletonSectionOnDemand) {
   // A deck with no [control] section still accepts control overrides.
   DeckSource src = DeckSource::from_text(
       "[grid]\nnx = 8\n[species e]\nq = -1\nm = 1\nppc = 2\n");
-  src.apply_override("control.sort_period", "5");
+  src.apply_override("control.sort_every", "5");
   EXPECT_EQ(src.build().sort_period, 5);
 }
 

@@ -143,7 +143,7 @@ TEST_P(OverlapBitExact, OverlappedMatchesBarriered) {
     SCOPED_TRACE(std::string("kernel ") + particles::kernel_name(kernel));
     Snapshot barriered, overlapped;
     run_mode(ranks, pipelines, Deck::Overlap::kOff, kernel, &barriered);
-    run_mode(ranks, pipelines, Deck::Overlap::kOn, kernel, &overlapped);
+    run_mode(ranks, pipelines, Deck::Overlap::kAuto, kernel, &overlapped);
     expect_bit_identical(barriered, overlapped);
   }
 }
@@ -159,11 +159,10 @@ INSTANTIATE_TEST_SUITE_P(RankPipelineMatrix, OverlapBitExact,
                          });
 
 TEST(Overlap, SingleRankNeverOverlaps) {
-  // A single-rank grid has no skin, so kOn resolves to the barriered loop
+  // A single-rank grid has no skin, so kAuto resolves to the barriered loop
   // (and the accumulator keeps its exact legacy block count / fold order).
-  const Deck deck = overlap_deck(1, Deck::Overlap::kOn);
+  const Deck deck = overlap_deck(1, Deck::Overlap::kAuto);
   Simulation sim(deck);
-  EXPECT_FALSE(sim.overlap());
   EXPECT_FALSE(sim.overlap_stats().enabled);
 }
 
@@ -172,20 +171,20 @@ TEST(Overlap, AutoResolvesOnForMultiRank) {
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
     Simulation sim(deck, &comm, &topo);
-    EXPECT_TRUE(sim.overlap());
+    EXPECT_TRUE(sim.overlap_stats().enabled);
   });
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Deck off = deck;
     off.overlap = Deck::Overlap::kOff;
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
     Simulation sim(off, &comm, &topo);
-    EXPECT_FALSE(sim.overlap());
+    EXPECT_FALSE(sim.overlap_stats().enabled);
   });
 }
 
 TEST(Overlap, LedgerBalancesAndMigrationCountsMatch) {
   constexpr int kRanks = 4;
-  const Deck deck = overlap_deck(/*pipelines=*/2, Deck::Overlap::kOn);
+  const Deck deck = overlap_deck(/*pipelines=*/2, Deck::Overlap::kAuto);
   std::mutex mu;
   std::vector<OverlapStats> ov(kRanks);
   std::vector<ParticleStats> stats(kRanks);
@@ -235,7 +234,7 @@ TEST(Overlap, ChaosMidOverlapRecoversBitIdentically) {
   constexpr int kRanks = 4;
   Deck deck = two_stream_deck(/*cells=*/32, /*ppc=*/8);
   deck.pipelines = 2;
-  deck.overlap = Deck::Overlap::kOn;
+  deck.overlap = Deck::Overlap::kAuto;
 
   Snapshot clean_snap(kRanks);
   RecoveryConfig clean_rc;

@@ -81,7 +81,7 @@ TEST(VmpiFault, SetTimeoutOverridesWorldDefault) {
     comm.set_timeout(0.1);
     EXPECT_EQ(comm.timeout(), 0.1);
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_THROW(comm.probe(1, 5), CommError);
+    EXPECT_THROW((void)comm.recv_value<int>(1, 5), CommError);
     EXPECT_LT(seconds_since(t0), 30.0);
   }, cfg);
 }

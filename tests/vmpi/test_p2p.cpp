@@ -100,54 +100,6 @@ TEST(P2P, AnyTag) {
   });
 }
 
-TEST(P2P, ProbeReportsSize) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<float> v(17, 1.0f);
-      comm.send(1, 4, std::span<const float>(v));
-    } else {
-      const Status st = comm.probe(0, 4);
-      EXPECT_EQ(st.bytes, 17 * sizeof(float));
-      // Probe does not consume.
-      std::vector<float> v(17);
-      comm.recv(0, 4, std::span<float>(v));
-      EXPECT_EQ(v[16], 1.0f);
-    }
-  });
-}
-
-TEST(P2P, IprobeNonBlocking) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      Status st;
-      EXPECT_FALSE(comm.iprobe(1, 0, &st));  // nothing sent to rank 0
-      comm.send_value(1, 0, 1);
-    } else {
-      comm.probe(0, 0);
-      Status st;
-      EXPECT_TRUE(comm.iprobe(0, 0, &st));
-      EXPECT_EQ(st.bytes, sizeof(int));
-      int v;
-      comm.recv(0, 0, std::span<int>(&v, 1));
-    }
-  });
-}
-
-TEST(P2P, RecvAnyUnknownLength) {
-  run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<int> payload{1, 2, 3, 4, 5};
-      comm.send(1, 8, std::span<const int>(payload));
-    } else {
-      Status st;
-      const auto got = comm.recv_any<int>(0, 8, &st);
-      ASSERT_EQ(got.size(), 5u);
-      EXPECT_EQ(got[4], 5);
-      EXPECT_EQ(st.source, 0);
-    }
-  });
-}
-
 TEST(P2P, SelfSend) {
   run(1, [](Comm& comm) {
     comm.send_value(0, 0, 3.25);
@@ -190,11 +142,10 @@ TEST(P2P, IrecvWait) {
     if (comm.rank() == 0) {
       comm.send_value(1, 2, 77);
     } else {
-      int v = 0;
-      Request req = comm.irecv(0, 2, std::span<int>(&v, 1));
+      Request req = comm.ipost(0, 2);
       const Status st = comm.wait(req);
       EXPECT_EQ(st.bytes, sizeof(int));
-      EXPECT_EQ(v, 77);
+      EXPECT_EQ(req.take<int>(), std::vector<int>{77});
       // wait() is idempotent.
       EXPECT_EQ(comm.wait(req).bytes, sizeof(int));
     }
@@ -204,20 +155,19 @@ TEST(P2P, IrecvWait) {
 TEST(P2P, RequestTestCompletesWithoutBlocking) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
-      // The peer signals that its irecv is posted *before* we send, so the
-      // pre-send test() below genuinely races nothing.
+      // The peer signals that its receive is posted *before* we send, so
+      // the pre-send test() below genuinely races nothing.
       (void)comm.recv_value<int>(1, 1);
       comm.send_value(1, 2, 77);
     } else {
-      int v = 0;
-      Request req = comm.irecv(0, 2, std::span<int>(&v, 1));
+      Request req = comm.ipost(0, 2);
       EXPECT_FALSE(req.test());  // nothing sent yet — must not block
       comm.send_value(0, 1, 0);  // release the sender
       Status st;
       while (!req.test(&st)) std::this_thread::yield();
       EXPECT_EQ(st.bytes, sizeof(int));
       EXPECT_EQ(st.source, 0);
-      EXPECT_EQ(v, 77);
+      EXPECT_EQ(req.take<int>(), std::vector<int>{77});
       // test() is idempotent once complete, like wait().
       EXPECT_TRUE(req.test());
       EXPECT_EQ(comm.wait(req).bytes, sizeof(int));
@@ -231,17 +181,15 @@ TEST(P2P, WaitallCompletesEveryRequestInOrder) {
     if (comm.rank() == 0) {
       for (int i = 0; i < kMsgs; ++i) comm.send_value(1, 10 + i, 100 + i);
     } else {
-      std::vector<int> got(kMsgs, 0);
       std::vector<Request> reqs;
-      for (int i = 0; i < kMsgs; ++i)
-        reqs.push_back(comm.irecv(0, 10 + i, std::span<int>(&got[i], 1)));
+      for (int i = 0; i < kMsgs; ++i) reqs.push_back(comm.ipost(0, 10 + i));
       const std::vector<Status> statuses =
           comm.waitall(std::span<Request>(reqs));
       ASSERT_EQ(statuses.size(), std::size_t(kMsgs));
       for (int i = 0; i < kMsgs; ++i) {
         EXPECT_EQ(statuses[std::size_t(i)].tag, 10 + i);
         EXPECT_EQ(statuses[std::size_t(i)].bytes, sizeof(int));
-        EXPECT_EQ(got[std::size_t(i)], 100 + i);
+        EXPECT_EQ(reqs[std::size_t(i)].take<int>(), std::vector<int>{100 + i});
       }
     }
   });
