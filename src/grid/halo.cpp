@@ -1,5 +1,8 @@
 #include "grid/halo.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 namespace minivpic::grid {
 
 namespace {
@@ -11,6 +14,73 @@ constexpr int kHaloTagBase = 1 << 20;
 enum Kind : int { kFillLoGhost = 0, kFillHiGhost = 1, kReduceHi = 2 };
 
 int halo_tag(int axis, Kind kind) { return kHaloTagBase + axis * 4 + kind; }
+
+/// Voxel stride along an axis of the padded array.
+std::ptrdiff_t axis_stride(const LocalGrid& g, int axis) {
+  return axis == 0 ? 1 : axis == 1 ? g.sy() : g.sz();
+}
+
+/// Plane length for an axis (full padded extent of the two other axes).
+std::size_t plane_size(const LocalGrid& g, int axis) {
+  const std::size_t px = g.nx() + 2, py = g.ny() + 2, pz = g.nz() + 2;
+  return axis == 0 ? py * pz : axis == 1 ? px * pz : px * py;
+}
+
+/// The one plane walk: calls run(voxel, count) for each contiguous run of
+/// the padded plane `index` along `axis`, in message order. A z-plane is one
+/// run of (nx+2)(ny+2) floats, a y-plane one run of nx+2 floats per k, an
+/// x-plane single elements (j fastest, then k).
+template <class Run>
+void for_each_plane_run(const LocalGrid& g, int axis, int index, Run&& run) {
+  const std::size_t px = g.nx() + 2, py = g.ny() + 2, pz = g.nz() + 2;
+  const std::size_t sy = px, sz = px * py, at = std::size_t(index);
+  switch (axis) {
+    case 0:
+      for (std::size_t k = 0; k < pz; ++k)
+        for (std::size_t j = 0; j < py; ++j) run(at + sy * j + sz * k, 1);
+      break;
+    case 1:
+      for (std::size_t k = 0; k < pz; ++k) run(sy * at + sz * k, px);
+      break;
+    default:
+      run(sz * at, sz);
+      break;
+  }
+}
+
+/// to[0..n) = from[0..n), or += when `add`.
+void apply_run(real* to, const real* from, std::size_t n, bool add) {
+  if (add) {
+    for (std::size_t i = 0; i < n; ++i) to[i] += from[i];
+  } else {
+    std::copy_n(from, n, to);
+  }
+}
+
+void pack_plane(const LocalGrid& g, const real* data, int axis, int index,
+                real* out) {
+  for_each_plane_run(g, axis, index, [&](std::size_t v, std::size_t n) {
+    out = std::copy_n(data + v, n, out);
+  });
+}
+
+void unpack_plane(const LocalGrid& g, real* data, int axis, int index,
+                  const real* in, bool add) {
+  for_each_plane_run(g, axis, index, [&](std::size_t v, std::size_t n) {
+    apply_run(data + v, in, n, add);
+    in += n;
+  });
+}
+
+/// Single-rank periodic wrap: plane `to` = plane `from` (or += when `add`),
+/// run by run within one array.
+void wrap_plane(const LocalGrid& g, real* data, int axis, int from, int to,
+                bool add) {
+  const std::ptrdiff_t shift = (to - from) * axis_stride(g, axis);
+  for_each_plane_run(g, axis, from, [&](std::size_t v, std::size_t n) {
+    apply_run(data + v + shift, data + v, n, add);
+  });
+}
 
 }  // namespace
 
@@ -57,106 +127,43 @@ Halo::Halo(const LocalGrid& grid, vmpi::Comm* comm)
   }
 }
 
-std::size_t Halo::plane_size(int axis) const {
-  const int px = grid_->nx() + 2;
-  const int py = grid_->ny() + 2;
-  const int pz = grid_->nz() + 2;
-  switch (axis) {
-    case 0: return std::size_t(py) * pz;
-    case 1: return std::size_t(px) * pz;
-    default: return std::size_t(px) * py;
-  }
-}
-
-void Halo::pack_plane(const FieldArray& f, Component c, int axis, int index,
-                      real* out) const {
-  const real* data = component_data(f, c);
-  const int px = grid_->nx() + 2;
-  const int py = grid_->ny() + 2;
-  const int pz = grid_->nz() + 2;
-  std::size_t m = 0;
-  switch (axis) {
-    case 0:
-      for (int k = 0; k < pz; ++k)
-        for (int j = 0; j < py; ++j) out[m++] = data[f.idx(index, j, k)];
-      break;
-    case 1:
-      for (int k = 0; k < pz; ++k)
-        for (int i = 0; i < px; ++i) out[m++] = data[f.idx(i, index, k)];
-      break;
-    default:
-      for (int j = 0; j < py; ++j)
-        for (int i = 0; i < px; ++i) out[m++] = data[f.idx(i, j, index)];
-      break;
-  }
-}
-
-void Halo::unpack_plane(FieldArray& f, Component c, int axis, int index,
-                        const real* in, bool add) const {
-  real* data = component_data(f, c);
-  const int px = grid_->nx() + 2;
-  const int py = grid_->ny() + 2;
-  const int pz = grid_->nz() + 2;
-  std::size_t m = 0;
-  auto apply = [&](std::int32_t v) {
-    if (add) {
-      data[v] += in[m++];
-    } else {
-      data[v] = in[m++];
-    }
-  };
-  switch (axis) {
-    case 0:
-      for (int k = 0; k < pz; ++k)
-        for (int j = 0; j < py; ++j) apply(f.idx(index, j, k));
-      break;
-    case 1:
-      for (int k = 0; k < pz; ++k)
-        for (int i = 0; i < px; ++i) apply(f.idx(i, index, k));
-      break;
-    default:
-      for (int j = 0; j < py; ++j)
-        for (int i = 0; i < px; ++i) apply(f.idx(i, j, index));
-      break;
-  }
-}
-
 void Halo::exchange_axis_refresh(FieldArray& f,
                                  const std::vector<Component>& comps,
                                  int axis) {
-  const int n = axis == 0 ? grid_->nx() : axis == 1 ? grid_->ny() : grid_->nz();
-  const int lo = grid_->neighbor(face_of(axis, -1));
-  const int hi = grid_->neighbor(face_of(axis, +1));
-  const int self = grid_->rank();
-  const std::size_t plane = plane_size(axis);
+  const LocalGrid& g = *grid_;
+  const int n = axis == 0 ? g.nx() : axis == 1 ? g.ny() : g.nz();
+  const int lo = g.neighbor(face_of(axis, -1));
+  const int hi = g.neighbor(face_of(axis, +1));
+
+  // Local periodic wrap (neighbor is this rank itself).
+  if (hi == g.rank()) {
+    MV_ASSERT(lo == g.rank());
+    for (Component c : comps) {
+      real* data = component_data(f, c);
+      wrap_plane(g, data, axis, n, 0, false);
+      wrap_plane(g, data, axis, 1, n + 1, false);
+    }
+    return;
+  }
+
+  const std::size_t plane = plane_size(g, axis);
   const std::size_t msg = plane * comps.size();
   sendbuf_lo_.resize(msg);
   sendbuf_hi_.resize(msg);
   recvbuf_.resize(msg);
 
-  // Local periodic wrap (neighbor is this rank itself).
-  if (hi == self) {
-    MV_ASSERT(lo == self);
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      pack_plane(f, comps[c], axis, n, sendbuf_lo_.data() + c * plane);
-      unpack_plane(f, comps[c], axis, 0, sendbuf_lo_.data() + c * plane, false);
-      pack_plane(f, comps[c], axis, 1, sendbuf_hi_.data() + c * plane);
-      unpack_plane(f, comps[c], axis, n + 1, sendbuf_hi_.data() + c * plane,
-                   false);
-    }
-    return;
-  }
-
   // Post both buffered sends first, then receive — cannot deadlock.
   if (hi != LocalGrid::kNoNeighbor) {
     for (std::size_t c = 0; c < comps.size(); ++c)
-      pack_plane(f, comps[c], axis, n, sendbuf_hi_.data() + c * plane);
+      pack_plane(g, component_data(f, comps[c]), axis, n,
+                 sendbuf_hi_.data() + c * plane);
     comm_->send(hi, halo_tag(axis, kFillLoGhost),
                 std::span<const real>(sendbuf_hi_.data(), msg));
   }
   if (lo != LocalGrid::kNoNeighbor) {
     for (std::size_t c = 0; c < comps.size(); ++c)
-      pack_plane(f, comps[c], axis, 1, sendbuf_lo_.data() + c * plane);
+      pack_plane(g, component_data(f, comps[c]), axis, 1,
+                 sendbuf_lo_.data() + c * plane);
     comm_->send(lo, halo_tag(axis, kFillHiGhost),
                 std::span<const real>(sendbuf_lo_.data(), msg));
   }
@@ -164,42 +171,42 @@ void Halo::exchange_axis_refresh(FieldArray& f,
     comm_->recv(lo, halo_tag(axis, kFillLoGhost),
                 std::span<real>(recvbuf_.data(), msg));
     for (std::size_t c = 0; c < comps.size(); ++c)
-      unpack_plane(f, comps[c], axis, 0, recvbuf_.data() + c * plane, false);
+      unpack_plane(g, component_data(f, comps[c]), axis, 0,
+                   recvbuf_.data() + c * plane, false);
   }
   if (hi != LocalGrid::kNoNeighbor) {
     comm_->recv(hi, halo_tag(axis, kFillHiGhost),
                 std::span<real>(recvbuf_.data(), msg));
     for (std::size_t c = 0; c < comps.size(); ++c)
-      unpack_plane(f, comps[c], axis, n + 1, recvbuf_.data() + c * plane,
-                   false);
+      unpack_plane(g, component_data(f, comps[c]), axis, n + 1,
+                   recvbuf_.data() + c * plane, false);
   }
 }
 
 void Halo::exchange_axis_reduce(FieldArray& f,
                                 const std::vector<Component>& comps, int axis) {
-  const int n = axis == 0 ? grid_->nx() : axis == 1 ? grid_->ny() : grid_->nz();
-  const int lo = grid_->neighbor(face_of(axis, -1));
-  const int hi = grid_->neighbor(face_of(axis, +1));
-  const int self = grid_->rank();
-  const std::size_t plane = plane_size(axis);
-  const std::size_t msg = plane * comps.size();
-  sendbuf_hi_.resize(msg);
-  recvbuf_.resize(msg);
+  const LocalGrid& g = *grid_;
+  const int n = axis == 0 ? g.nx() : axis == 1 ? g.ny() : g.nz();
+  const int lo = g.neighbor(face_of(axis, -1));
+  const int hi = g.neighbor(face_of(axis, +1));
 
   // Deposition only reaches the high-side ghost plane (index n+1); fold it
   // into the hi neighbor's first interior plane.
-  if (hi == self) {
-    MV_ASSERT(lo == self);
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      pack_plane(f, comps[c], axis, n + 1, sendbuf_hi_.data() + c * plane);
-      unpack_plane(f, comps[c], axis, 1, sendbuf_hi_.data() + c * plane, true);
-    }
+  if (hi == g.rank()) {
+    MV_ASSERT(lo == g.rank());
+    for (Component c : comps)
+      wrap_plane(g, component_data(f, c), axis, n + 1, 1, true);
     return;
   }
 
+  const std::size_t plane = plane_size(g, axis);
+  const std::size_t msg = plane * comps.size();
+  sendbuf_hi_.resize(msg);
+  recvbuf_.resize(msg);
   if (hi != LocalGrid::kNoNeighbor) {
     for (std::size_t c = 0; c < comps.size(); ++c)
-      pack_plane(f, comps[c], axis, n + 1, sendbuf_hi_.data() + c * plane);
+      pack_plane(g, component_data(f, comps[c]), axis, n + 1,
+                 sendbuf_hi_.data() + c * plane);
     comm_->send(hi, halo_tag(axis, kReduceHi),
                 std::span<const real>(sendbuf_hi_.data(), msg));
   }
@@ -207,7 +214,8 @@ void Halo::exchange_axis_reduce(FieldArray& f,
     comm_->recv(lo, halo_tag(axis, kReduceHi),
                 std::span<real>(recvbuf_.data(), msg));
     for (std::size_t c = 0; c < comps.size(); ++c)
-      unpack_plane(f, comps[c], axis, 1, recvbuf_.data() + c * plane, true);
+      unpack_plane(g, component_data(f, comps[c]), axis, 1,
+                   recvbuf_.data() + c * plane, true);
   }
 }
 
@@ -222,18 +230,15 @@ void Halo::reduce_sources(FieldArray& f) {
 }
 
 void Halo::zero_source_ghosts(FieldArray& f) const {
-  const int nx = grid_->nx(), ny = grid_->ny(), nz = grid_->nz();
+  const LocalGrid& g = *grid_;
+  const int n[3] = {g.nx(), g.ny(), g.nz()};
   for (Component c : source_components()) {
     real* data = component_data(f, c);
-    for (int k = 0; k <= nz + 1; ++k) {
-      for (int j = 0; j <= ny + 1; ++j) {
-        for (int i = 0; i <= nx + 1; ++i) {
-          const bool ghost = i == 0 || i == nx + 1 || j == 0 || j == ny + 1 ||
-                             k == 0 || k == nz + 1;
-          if (ghost) data[f.idx(i, j, k)] = 0;
-        }
-      }
-    }
+    for (int axis = 0; axis < 3; ++axis)
+      for (const int index : {0, n[axis] + 1})
+        for_each_plane_run(g, axis, index, [&](std::size_t v, std::size_t m) {
+          std::fill_n(data + v, m, real{0});
+        });
   }
 }
 

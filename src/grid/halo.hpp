@@ -7,9 +7,18 @@
 // planes, which makes edge- and corner-ghost values consistent without any
 // dedicated diagonal exchange — the standard halo trick.
 //
-// Works in two modes sharing one code path:
-//  * single-rank / periodic-local: plane copies inside this rank's arrays;
-//  * multi-rank: vmpi sends/recvs with the neighbor ranks of the LocalGrid.
+// Every plane is moved as contiguous runs of the x-fastest voxel layout, by
+// one plane walk: a z-plane is one run of (nx+2)(ny+2) floats, a y-plane one
+// run of nx+2 floats per k, an x-plane single elements. The same walk
+// packs and unpacks messages, runs the single-rank periodic wrap (plane to
+// plane within one array, copied for refresh and added for reduction) and
+// zeroes the six source ghost planes.
+//
+// Works in two modes sharing the walk:
+//  * single-rank / periodic-local: plane-to-plane copies inside this rank's
+//    arrays, no message buffer;
+//  * multi-rank: vmpi sends/recvs of packed planes with the neighbor ranks
+//    of the LocalGrid.
 #pragma once
 
 #include <initializer_list>
@@ -46,18 +55,10 @@ class Halo {
 
   /// Folds ghost-deposited source contributions (high-side ghost plane
   /// n+1, the only side deposition reaches) into the owning neighbor's first
-  /// interior plane, then zeroes all source ghosts.
+  /// interior plane, then zeroes the six source ghost planes.
   void reduce_sources(FieldArray& f);
 
  private:
-  /// Plane length for an axis (full padded extent of the two other axes).
-  std::size_t plane_size(int axis) const;
-
-  void pack_plane(const FieldArray& f, Component c, int axis, int index,
-                  real* out) const;
-  void unpack_plane(FieldArray& f, Component c, int axis, int index,
-                    const real* in, bool add) const;
-
   void exchange_axis_refresh(FieldArray& f, const std::vector<Component>& comps,
                              int axis);
   void exchange_axis_reduce(FieldArray& f, const std::vector<Component>& comps,

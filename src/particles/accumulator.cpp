@@ -1,39 +1,81 @@
 #include "particles/accumulator.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/pipeline.hpp"
 
 namespace minivpic::particles {
 
+namespace {
+
+constexpr std::size_t kFloats = sizeof(CellAccum) / sizeof(float);
+
+/// Calls run(voxel, count) for each x-row run of the interior cells
+/// [begin, end), numbered x fastest: cell c is voxel
+/// (1 + c % nx, 1 + (c / nx) % ny, 1 + c / (nx * ny)).
+template <class Run>
+void for_each_row_run(std::size_t begin, std::size_t end, std::size_t nx,
+                      std::size_t ny, Run&& run) {
+  const std::size_t sy = nx + 2, sz = (nx + 2) * (ny + 2);
+  for (std::size_t c = begin; c < end;) {
+    const std::size_t row = c / nx, i = c % nx;
+    const std::size_t count = std::min(nx - i, end - c);
+    run(1 + i + sy * (1 + row % ny) + sz * (1 + row / ny), count);
+    c += count;
+  }
+}
+
+}  // namespace
+
 AccumulatorArray::AccumulatorArray(const grid::LocalGrid& grid, int blocks)
     : voxels_(std::size_t(grid.num_voxels())),
+      nx_(std::size_t(grid.nx())),
+      ny_(std::size_t(grid.ny())),
+      cells_(std::size_t(grid.num_cells())),
       blocks_(blocks),
       data_(voxels_ * std::size_t(blocks)) {
   MV_REQUIRE(blocks >= 1, "accumulator needs >= 1 block, got " << blocks);
 }
 
-void AccumulatorArray::reduce(Pipeline* pipeline) {
-  if (blocks_ < 2) return;
-  // Flat float streams: 16 floats per CellAccum, contiguous and aligned, so
-  // the compiler can vectorize the += loop. Ascending block order keeps the
-  // per-cell addition sequence identical to the serial deposit order. Each
-  // pipeline folds whole voxels, so no cache line is shared across ranges.
-  constexpr std::size_t kFloats = sizeof(CellAccum) / sizeof(float);
-  const int npipe = pipeline != nullptr ? pipeline->size() : 1;
-  const auto fold = [&](int p) {
-    const auto r = Pipeline::partition(voxels_, npipe, p);
-    float* dst = reinterpret_cast<float*>(block(0) + r.begin);
-    const std::size_t floats = r.size() * kFloats;
-    for (int b = 1; b < blocks_; ++b) {
-      const float* src = reinterpret_cast<const float*>(block(b) + r.begin);
-      for (std::size_t i = 0; i < floats; ++i) dst[i] += src[i];
-    }
-  };
-  if (pipeline != nullptr) {
-    pipeline->dispatch(fold);
+void AccumulatorArray::clear() {
+  if (folded_) {
+    for_each_row_run(0, cells_, nx_, ny_, [&](std::size_t v, std::size_t n) {
+      std::fill_n(reinterpret_cast<float*>(block(0) + v), n * kFloats, 0.0f);
+    });
   } else {
-    fold(0);
+    data_.zero();
   }
+  folded_ = false;
+}
+
+void AccumulatorArray::reduce(Pipeline* pipeline) {
+  if (blocks_ > 1) {
+    // Ascending block order keeps the per-cell addition sequence identical
+    // to the serial deposit order. Each pipeline folds whole cells (one
+    // cache line each), so no line is shared across slices.
+    const int npipe = pipeline != nullptr ? pipeline->size() : 1;
+    const auto fold = [&](int p) {
+      const auto r = Pipeline::partition(cells_, npipe, p);
+      for_each_row_run(r.begin, r.end, nx_, ny_,
+                       [&](std::size_t v, std::size_t n) {
+        float* dst = reinterpret_cast<float*>(block(0) + v);
+        for (int b = 1; b < blocks_; ++b) {
+          float* src = reinterpret_cast<float*>(block(b) + v);
+          for (std::size_t i = 0; i < n * kFloats; ++i) {
+            dst[i] += src[i];
+            src[i] = 0;
+          }
+        }
+      });
+    };
+    if (pipeline != nullptr) {
+      pipeline->dispatch(fold);
+    } else {
+      fold(0);
+    }
+  }
+  folded_ = true;
 }
 
 void AccumulatorArray::unload(grid::FieldArray& f) const {

@@ -147,7 +147,9 @@ void Simulation::step() {
 
   {
     // Source setup is sources-phase work too: its second half (accumulator
-    // unload + halo fold) runs after the push below.
+    // unload + halo fold) runs after the push below. The last step's fold
+    // left only block 0's interior nonzero, so that is all clear() zeroes;
+    // after a step that threw before its fold, it zeroes every block.
     const auto lap = probe(Phase::kSources);
     acc_.clear();
     fields_.clear_sources();
@@ -313,8 +315,9 @@ void Simulation::step() {
   }
 
   {
-    // Fold the per-pipeline accumulator blocks into block 0 on the pool
-    // (fixed block order, so bit-identical to a serial fold; see
+    // Fold the per-pipeline accumulator blocks into block 0 on the pool,
+    // over the interior cells only, zeroing blocks 1..B-1 as it goes (fixed
+    // block order, so bit-identical to a serial fold; see
     // AccumulatorArray::reduce). Timed separately: this is the cost the
     // pipeline layer pays per step for its private blocks.
     const auto lap = probe(Phase::kReduce);

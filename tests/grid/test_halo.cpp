@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <string>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace minivpic::grid {
@@ -200,6 +207,245 @@ TEST(HaloConstruct, Validation) {
     EXPECT_THROW(Halo(g2, &comm), Error);  // size mismatch (3 vs 2)
   });
 }
+
+// -- run-based plane walk against the per-element walk ---------------------
+
+/// Per-element reference of Halo::refresh and Halo::reduce_sources: every
+/// plane goes element by element through idx() and a message buffer (the
+/// single-rank periodic wrap included), and the source ghosts are found by
+/// testing every voxel. Axis order, message layout and per-element
+/// arithmetic are those the run-based walk must reproduce byte for byte.
+class ElementHalo {
+ public:
+  ElementHalo(const LocalGrid& g, vmpi::Comm* comm) : g_(g), comm_(comm) {}
+
+  void refresh(FieldArray& f, const std::vector<Component>& comps) {
+    for (int axis = 0; axis < 3; ++axis) {
+      const int n = extent(axis);
+      const int lo = g_.neighbor(face_of(axis, -1));
+      const int hi = g_.neighbor(face_of(axis, +1));
+      if (hi == g_.rank()) {
+        for (Component c : comps) {
+          unpack(f, c, axis, 0, pack(f, c, axis, n), false);
+          unpack(f, c, axis, n + 1, pack(f, c, axis, 1), false);
+        }
+        continue;
+      }
+      if (hi != LocalGrid::kNoNeighbor) send(f, comps, axis, n, hi, kToHi);
+      if (lo != LocalGrid::kNoNeighbor) send(f, comps, axis, 1, lo, kToLo);
+      if (lo != LocalGrid::kNoNeighbor)
+        recv(f, comps, axis, 0, lo, kToHi, false);
+      if (hi != LocalGrid::kNoNeighbor)
+        recv(f, comps, axis, n + 1, hi, kToLo, false);
+    }
+  }
+
+  void reduce_sources(FieldArray& f) {
+    const auto comps = source_components();
+    for (int axis = 0; axis < 3; ++axis) {
+      const int n = extent(axis);
+      const int lo = g_.neighbor(face_of(axis, -1));
+      const int hi = g_.neighbor(face_of(axis, +1));
+      if (hi == g_.rank()) {
+        for (Component c : comps)
+          unpack(f, c, axis, 1, pack(f, c, axis, n + 1), true);
+        continue;
+      }
+      if (hi != LocalGrid::kNoNeighbor) send(f, comps, axis, n + 1, hi, kFold);
+      if (lo != LocalGrid::kNoNeighbor)
+        recv(f, comps, axis, 1, lo, kFold, true);
+    }
+    for (Component c : comps) {
+      real* data = component_data(f, c);
+      for (int k = 0; k <= g_.nz() + 1; ++k)
+        for (int j = 0; j <= g_.ny() + 1; ++j)
+          for (int i = 0; i <= g_.nx() + 1; ++i)
+            if (!g_.is_interior(i, j, k)) data[f.idx(i, j, k)] = 0;
+    }
+  }
+
+ private:
+  // Tags of their own, so reference traffic never matches the Halo's.
+  enum Kind : int { kToHi = 0, kToLo = 1, kFold = 2 };
+  static int tag(int axis, Kind kind) { return (1 << 21) + axis * 4 + kind; }
+
+  int extent(int axis) const {
+    return axis == 0 ? g_.nx() : axis == 1 ? g_.ny() : g_.nz();
+  }
+
+  /// The plane's voxels in message order: x-plane (j, k), y-plane (i, k),
+  /// z-plane (i, j), first index fastest.
+  std::vector<std::int32_t> plane(const FieldArray& f, int axis,
+                                  int index) const {
+    std::vector<std::int32_t> v;
+    const int px = g_.nx() + 2, py = g_.ny() + 2, pz = g_.nz() + 2;
+    if (axis == 0) {
+      for (int k = 0; k < pz; ++k)
+        for (int j = 0; j < py; ++j) v.push_back(f.idx(index, j, k));
+    } else if (axis == 1) {
+      for (int k = 0; k < pz; ++k)
+        for (int i = 0; i < px; ++i) v.push_back(f.idx(i, index, k));
+    } else {
+      for (int j = 0; j < py; ++j)
+        for (int i = 0; i < px; ++i) v.push_back(f.idx(i, j, index));
+    }
+    return v;
+  }
+
+  std::vector<real> pack(const FieldArray& f, Component c, int axis,
+                         int index) const {
+    const real* data = component_data(f, c);
+    std::vector<real> out;
+    for (std::int32_t v : plane(f, axis, index)) out.push_back(data[v]);
+    return out;
+  }
+
+  void unpack(FieldArray& f, Component c, int axis, int index,
+              const std::vector<real>& in, bool add) const {
+    real* data = component_data(f, c);
+    std::size_t m = 0;
+    for (std::int32_t v : plane(f, axis, index)) {
+      if (add) {
+        data[v] += in[m++];
+      } else {
+        data[v] = in[m++];
+      }
+    }
+  }
+
+  void send(const FieldArray& f, const std::vector<Component>& comps,
+            int axis, int index, int dst, Kind kind) {
+    std::vector<real> msg;
+    for (Component c : comps) {
+      const auto p = pack(f, c, axis, index);
+      msg.insert(msg.end(), p.begin(), p.end());
+    }
+    comm_->send(dst, tag(axis, kind), std::span<const real>(msg));
+  }
+
+  void recv(FieldArray& f, const std::vector<Component>& comps, int axis,
+            int index, int src, Kind kind, bool add) {
+    const std::size_t plane_len = plane(f, axis, index).size();
+    std::vector<real> msg(plane_len * comps.size());
+    comm_->recv(src, tag(axis, kind), std::span<real>(msg));
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      const auto first = msg.begin() + std::ptrdiff_t(c * plane_len);
+      unpack(f, comps[c], axis, index,
+             std::vector<real>(first, first + std::ptrdiff_t(plane_len)), add);
+    }
+  }
+
+  const LocalGrid& g_;
+  vmpi::Comm* comm_;
+};
+
+std::vector<Component> all_components() {
+  auto comps = em_components();
+  for (Component c : source_components()) comps.push_back(c);
+  return comps;
+}
+
+/// Random bit patterns in every voxel of every component. With `finite`,
+/// all-ones exponents (inf/NaN) are redrawn so that sums stay free of NaN
+/// payloads, whose propagation through an add depends on operand order.
+void fill_bits(FieldArray& f, Rng& rng, bool finite) {
+  const auto n = std::size_t(f.grid().num_voxels());
+  for (Component c : all_components()) {
+    real* data = component_data(f, c);
+    for (std::size_t v = 0; v < n; ++v) {
+      std::uint32_t bits = std::uint32_t(rng.next_u64());
+      while (finite && (bits & 0x7f800000u) == 0x7f800000u)
+        bits = std::uint32_t(rng.next_u64());
+      data[v] = std::bit_cast<real>(bits);
+    }
+  }
+}
+
+::testing::AssertionResult same_bytes(const FieldArray& a,
+                                      const FieldArray& b) {
+  const auto& g = a.grid();
+  for (Component c : all_components()) {
+    const real* x = component_data(a, c);
+    const real* y = component_data(b, c);
+    for (int k = 0; k <= g.nz() + 1; ++k)
+      for (int j = 0; j <= g.ny() + 1; ++j)
+        for (int i = 0; i <= g.nx() + 1; ++i) {
+          const std::int32_t v = a.idx(i, j, k);
+          if (std::memcmp(x + v, y + v, sizeof(real)) != 0)
+            return ::testing::AssertionFailure()
+                   << "component " << int(c) << " differs at (" << i << ","
+                   << j << "," << k << ") on rank " << g.rank();
+        }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One boundary layout: each axis is a local periodic wrap, a wall, or a
+/// remote face through a 2-rank split.
+struct RunCase {
+  std::string name;
+  BoundarySpec boundary;
+  std::array<int, 3> dims;
+};
+
+void PrintTo(const RunCase& rc, std::ostream* os) { *os << rc.name; }
+
+class HaloRunTest : public ::testing::TestWithParam<RunCase> {};
+
+TEST_P(HaloRunTest, MatchesElementWalkBytewise) {
+  const RunCase& rc = GetParam();
+  GlobalGrid gg;
+  gg.nx = 7;  // unequal axes: every plane shape differs
+  gg.ny = 3;
+  gg.nz = 5;
+  gg.dx = gg.dy = gg.dz = 0.5;
+  gg.boundary = rc.boundary;
+  const int nranks = rc.dims[0] * rc.dims[1] * rc.dims[2];
+  vmpi::run(nranks, [&](vmpi::Comm& comm) {
+    const vmpi::CartTopology topo(rc.dims, {true, true, true});
+    const LocalGrid g(gg, topo, comm.rank());
+    FieldArray runs(g), elements(g);
+    Halo halo(g, &comm);
+    ElementHalo reference(g, &comm);
+    Rng rng(hash_combine(0x4a10, std::uint64_t(comm.rank())));
+    for (int round = 0; round < 2; ++round) {
+      fill_bits(runs, rng, false);
+      elements = runs;
+      halo.refresh(runs, all_components());
+      reference.refresh(elements, all_components());
+      ASSERT_TRUE(same_bytes(runs, elements)) << "refresh, round " << round;
+
+      const std::vector<Component> some = {Component::kCbz, Component::kEx};
+      halo.refresh(runs, some);
+      reference.refresh(elements, some);
+      ASSERT_TRUE(same_bytes(runs, elements)) << "refresh of two components";
+
+      fill_bits(runs, rng, true);
+      elements = runs;
+      halo.reduce_sources(runs);
+      reference.reduce_sources(elements);
+      ASSERT_TRUE(same_bytes(runs, elements)) << "reduce, round " << round;
+    }
+  });
+}
+
+constexpr BoundaryKind P = BoundaryKind::kPeriodic;
+constexpr BoundaryKind W = BoundaryKind::kPec;
+constexpr BoundaryKind A = BoundaryKind::kAbsorbing;
+
+// Each axis meets each kind: a Latin square of (periodic, wall, remote),
+// plus a split of every axis with walls beyond the x split.
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, HaloRunTest,
+    ::testing::Values(
+        RunCase{"XPeriodicYWallZRemote", {P, P, W, A, P, P}, {1, 1, 2}},
+        RunCase{"XWallYRemoteZPeriodic", {A, W, P, P, P, P}, {1, 2, 1}},
+        RunCase{"XRemoteYPeriodicZWall", {P, P, P, P, W, A}, {2, 1, 1}},
+        RunCase{"AllSplitXWalled", {W, A, P, P, P, P}, {2, 2, 2}},
+        RunCase{"SingleRankAllPeriodic", {P, P, P, P, P, P}, {1, 1, 1}}),
+    [](const ::testing::TestParamInfo<RunCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace minivpic::grid

@@ -43,6 +43,7 @@ struct MiniPic {
       migrate_particles(std::move(r.emigrants), *sp, pusher, acc, grid,
                         nullptr);
     }
+    acc.reduce();  // clear, deposit, reduce, unload: the accumulator cycle
     acc.unload(fields);
     for (Species* sp : species) accumulate_rho(*sp, fields);
     halo.reduce_sources(fields);
@@ -100,6 +101,7 @@ struct MultiPic {
       st.migrate.absorbed += m.absorbed;
       st.migrate.rounds = std::max(st.migrate.rounds, m.rounds);
     }
+    acc.reduce();
     acc.unload(fields);
     for (Species* sp : species) accumulate_rho(*sp, fields);
     halo.reduce_sources(fields);

@@ -9,13 +9,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
+#include "particles/migrate.hpp"
 #include "sim/simulation.hpp"
 #include "util/error.hpp"
 #include "util/pipeline.hpp"
 #include "util/rng.hpp"
+#include "vmpi/runtime.hpp"
 
 namespace minivpic::particles {
 namespace {
@@ -330,32 +333,292 @@ TEST(PipelinePushTest, AdvanceRequiresOneBlockPerPipeline) {
   EXPECT_THROW(pic.pusher.advance(sp, pic.interp, pic.acc, &pool), Error);
 }
 
+/// Voxels with a coordinate of 0 or n+1 along some axis.
+std::vector<std::size_t> ghost_voxels(const grid::LocalGrid& g) {
+  std::vector<std::size_t> out;
+  for (int k = 0; k <= g.nz() + 1; ++k)
+    for (int j = 0; j <= g.ny() + 1; ++j)
+      for (int i = 0; i <= g.nx() + 1; ++i)
+        if (!g.is_interior(i, j, k))
+          out.push_back(std::size_t(g.voxel(i, j, k)));
+  return out;
+}
+
+bool zero_bytes(const CellAccum& a) {
+  static const CellAccum kZero{};
+  return std::memcmp(&a, &kZero, sizeof(CellAccum)) == 0;
+}
+
+/// Success when blocks [first, blocks()) hold only zero bytes at `voxels`
+/// (every voxel when null).
+::testing::AssertionResult blocks_zero(
+    const AccumulatorArray& acc, int first,
+    const std::vector<std::size_t>* voxels = nullptr) {
+  for (int b = first; b < acc.blocks(); ++b) {
+    const CellAccum* blk = acc.block(b);
+    const std::size_t n = voxels != nullptr ? voxels->size() : acc.size();
+    for (std::size_t m = 0; m < n; ++m) {
+      const std::size_t v = voxels != nullptr ? (*voxels)[m] : m;
+      if (!zero_bytes(blk[v]))
+        return ::testing::AssertionFailure()
+               << "block " << b << " voxel " << v << " is nonzero";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random values spanning six decades in every interior entry of every
+/// block (ghosts stay zero: deposits never reach them).
+void fill_interior(AccumulatorArray& acc, const grid::LocalGrid& g,
+                   Rng& rng) {
+  for (int b = 0; b < acc.blocks(); ++b)
+    for (int k = 1; k <= g.nz(); ++k)
+      for (int j = 1; j <= g.ny(); ++j)
+        for (int i = 1; i <= g.nx(); ++i) {
+          float* f = reinterpret_cast<float*>(acc.block(b) + g.voxel(i, j, k));
+          for (std::size_t n = 0; n < sizeof(CellAccum) / sizeof(float); ++n)
+            f[n] = float(rng.uniform(-1, 1) *
+                         std::pow(10.0, double(rng.uniform_u64(6)) - 3.0));
+        }
+}
+
 TEST(PipelinePushTest, PooledFoldIsBitIdenticalToSerialFold) {
-  // Each pipeline folds one contiguous voxel range across blocks 1..B-1 in
-  // ascending block order, so every float receives the same additions in
-  // the same order as the serial fold: memcmp-equal, not merely close.
-  // Values span six decades so a different addition order would show.
-  // 7^3 = 343 voxels does not divide evenly by any pool width below.
-  const grid::LocalGrid g(cube_grid(5, 0.5));
-  for (const int blocks : {2, 5}) {  // 5 = 4 pipelines + a migration block
-    AccumulatorArray base(g, blocks);
-    Rng rng(std::uint64_t(90 + blocks));
-    float* f = reinterpret_cast<float*>(base.data());
-    const std::size_t floats =
-        base.size() * std::size_t(blocks) * (sizeof(CellAccum) / sizeof(float));
-    for (std::size_t i = 0; i < floats; ++i)
-      f[i] = float(rng.uniform(-1, 1) *
-                   std::pow(10.0, double(rng.uniform_u64(6)) - 3.0));
-    AccumulatorArray serial = base;
-    serial.reduce();
-    for (const int npipe : {1, 2, 4, 5}) {
-      AccumulatorArray pooled = base;
-      Pipeline pool(npipe);
-      pooled.reduce(&pool);
-      EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
-                            floats * sizeof(float)),
-                0)
-          << blocks << " blocks on " << npipe << " pipelines";
+  // Each pipeline folds an even share of the interior cells, walked as x-row
+  // runs, across blocks 1..B-1 in ascending block order, so every float
+  // receives the same additions in the same order as the serial fold:
+  // memcmp-equal, not merely close. Values span six decades so a different
+  // addition order would show. 5^3 = 125 cells divide evenly by no pool
+  // width below; the 9x1x1 grid is a single (j,k) row, which the pool must
+  // still split across all its pipelines.
+  auto row = cube_grid(5, 0.5);
+  row.nx = 9;
+  row.ny = row.nz = 1;
+  for (const auto& gg : {cube_grid(5, 0.5), row}) {
+    const grid::LocalGrid g(gg);
+    for (const int blocks : {2, 5}) {  // 5 = 4 pipelines + a migration block
+      AccumulatorArray base(g, blocks);
+      Rng rng(std::uint64_t(90 + blocks));
+      fill_interior(base, g, rng);
+      AccumulatorArray serial = base;
+      serial.reduce();
+      EXPECT_TRUE(blocks_zero(serial, 1)) << "serial fold, " << blocks;
+      for (const int npipe : {1, 2, 4, 5}) {
+        AccumulatorArray pooled = base;
+        Pipeline pool(npipe);
+        pooled.reduce(&pool);
+        EXPECT_EQ(std::memcmp(pooled.data(), serial.data(),
+                              pooled.size() * std::size_t(blocks) *
+                                  sizeof(CellAccum)),
+                  0)
+            << blocks << " blocks on " << npipe << " pipelines, " << g.nx()
+            << "x" << g.ny() << "x" << g.nz();
+        EXPECT_TRUE(blocks_zero(pooled, 1))
+            << blocks << " blocks on " << npipe << " pipelines";
+      }
+    }
+  }
+}
+
+TEST(PipelinePushTest, ClearAfterMissedFoldZeroesEveryBlock) {
+  // A step that throws between its push and its fold leaves deposits in
+  // blocks 1..B-1; the next step's clear() must still hand the push all-zero
+  // blocks. The cycle before it folds, so clear() also takes its cheap path
+  // once.
+  const grid::LocalGrid g(cube_grid(4, 0.5));
+  AccumulatorArray acc(g, 5);
+  Pipeline pool(4);
+  Rng rng(17);
+  acc.clear();
+  fill_interior(acc, g, rng);
+  acc.reduce(&pool);
+  acc.clear();  // after a fold: block 0's interior is all there is to zero
+  ASSERT_TRUE(blocks_zero(acc, 0));
+  fill_interior(acc, g, rng);  // deposits into every block, never folded
+  acc.clear();                 // the next step starts
+  EXPECT_TRUE(blocks_zero(acc, 0));
+}
+
+/// Counts over a run of checked accumulator cycles, to show the checks saw
+/// every kind of move.
+struct CycleCounts {
+  std::int64_t crossings = 0, absorbed = 0, reflected = 0, refluxed = 0;
+  std::int64_t migrated = 0, immigrated = 0;
+  std::int64_t late_block_entries = 0;  ///< nonzero blocks 1..B-1 entries
+  std::int64_t migrate_block_entries = 0;
+};
+
+/// One production step (clear, pooled push, migration into the last block
+/// on multi-rank grids, fold, unload, field advance) with the fold's premise
+/// and contract checked at each stage: every block is zero when the push
+/// starts; no deposit reaches a ghost voxel of any block; the fold leaves
+/// block 0 equal to the ascending-block sum and blocks 1..B-1 zero.
+struct CheckedPic {
+  CheckedPic(const grid::GlobalGrid& gg, const vmpi::CartTopology& topo,
+             vmpi::Comm* comm, int pipes, const ParticleBcSpec& bc)
+      : comm(comm),
+        pool(pipes),
+        grid(gg, topo, comm != nullptr ? comm->rank() : 0),
+        fields(grid),
+        halo(grid, comm),
+        solver(grid, &halo),
+        interp(grid),
+        acc(grid, pipes + (comm != nullptr ? 1 : 0)),
+        pusher(grid, bc, 0.3),
+        ghosts(ghost_voxels(grid)) {
+    solver.boundary().capture(fields);
+  }
+
+  void step(Species& sp, CycleCounts& n, int s) {
+    interp.load(fields);
+    acc.clear();
+    ASSERT_TRUE(blocks_zero(acc, 0)) << "after clear(), step " << s;
+    auto r = pusher.advance(sp, interp, acc, &pool);
+    n.crossings += r.crossings;
+    n.absorbed += r.absorbed;
+    n.reflected += r.reflected;
+    n.refluxed += r.refluxed;
+    CellAccum* migrate_block = acc.blocks() > pool.size()
+                                   ? acc.block(pool.size())
+                                   : acc.data();
+    std::vector<Particle> immigrants;
+    const MigrateStats m = exchange_particles(
+        std::move(r.emigrants), sp, pusher, migrate_block, grid, comm,
+        &immigrants);
+    for (const Particle& p : immigrants) sp.add(p);
+    n.migrated += m.sent;
+    n.immigrated += m.received;
+
+    ASSERT_TRUE(blocks_zero(acc, 0, &ghosts))
+        << "a deposit reached a ghost voxel, step " << s;
+    for (int b = 1; b < acc.blocks(); ++b)
+      for (std::size_t v = 0; v < acc.size(); ++v)
+        if (!zero_bytes(acc.block(b)[v])) {
+          ++n.late_block_entries;
+          if (acc.block(b) == migrate_block) ++n.migrate_block_entries;
+        }
+    // The fold's expected block 0, summed here in ascending block order.
+    constexpr std::size_t kFloats = sizeof(CellAccum) / sizeof(float);
+    std::vector<float> expect(acc.size() * kFloats);
+    for (std::size_t f = 0; f < expect.size(); ++f) {
+      float sum = reinterpret_cast<const float*>(acc.block(0))[f];
+      for (int b = 1; b < acc.blocks(); ++b)
+        sum += reinterpret_cast<const float*>(acc.block(b))[f];
+      expect[f] = sum;
+    }
+
+    acc.reduce(&pool);
+    ASSERT_EQ(std::memcmp(acc.data(), expect.data(),
+                          expect.size() * sizeof(float)),
+              0)
+        << "block 0 after the fold, step " << s;
+    ASSERT_TRUE(blocks_zero(acc, 1)) << "blocks 1..B-1 after the fold, step "
+                                     << s;
+
+    fields.clear_sources();
+    acc.unload(fields);
+    halo.reduce_sources(fields);
+    solver.advance_b(fields, 0.5);
+    solver.advance_e(fields);
+    solver.advance_b(fields, 0.5);
+  }
+
+  vmpi::Comm* comm;
+  Pipeline pool;
+  grid::LocalGrid grid;
+  grid::FieldArray fields;
+  grid::Halo halo;
+  field::FieldSolver solver;
+  InterpolatorArray interp;
+  AccumulatorArray acc;
+  Pusher pusher;
+  std::vector<std::size_t> ghosts;
+};
+
+constexpr int kCheckedSteps = 24;
+
+/// Hot electrons (many crossings per step) on an unequal grid.
+void load_hot(Species& sp, const grid::LocalGrid& g) {
+  LoadConfig cfg;
+  cfg.ppc = 8;
+  cfg.uth = 0.5;
+  load_uniform(sp, g, cfg);
+}
+
+TEST(PipelinePushTest, DepositsNeverReachGhostVoxelsSingleRank) {
+  // x wraps periodically on one rank; y and z are walls that absorb,
+  // reflect and reflux.
+  auto gg = cube_grid(6, 0.5);
+  gg.ny = 5;
+  gg.nz = 4;
+  using grid::BoundaryKind;
+  gg.boundary = {BoundaryKind::kPeriodic,  BoundaryKind::kPeriodic,
+                 BoundaryKind::kPec,       BoundaryKind::kPec,
+                 BoundaryKind::kAbsorbing, BoundaryKind::kAbsorbing};
+  ParticleBcSpec bc = periodic_particles();
+  bc[grid::kFaceYLo] = ParticleBc::kAbsorb;
+  bc[grid::kFaceYHi] = ParticleBc::kReflect;
+  bc[grid::kFaceZLo] = ParticleBc::kReflux;
+  bc[grid::kFaceZHi] = ParticleBc::kReflect;
+  const vmpi::CartTopology topo({1, 1, 1}, {true, true, true});
+  for (const int pipes : {1, 4}) {
+    SCOPED_TRACE("pipelines " + std::to_string(pipes));
+    CheckedPic pic(gg, topo, nullptr, pipes, bc);
+    Species sp("e", -1.0, 1.0);
+    load_hot(sp, pic.grid);
+    CycleCounts n;
+    for (int s = 0; s < kCheckedSteps; ++s) {
+      pic.step(sp, n, s);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(n.crossings, 1000);
+    EXPECT_GT(n.absorbed, 0);
+    EXPECT_GT(n.reflected, 0);
+    EXPECT_GT(n.refluxed, 0);
+    if (pipes > 1) {
+      EXPECT_GT(n.late_block_entries, 0);
+    }
+  }
+}
+
+TEST(PipelinePushTest, DepositsNeverReachGhostVoxelsTwoRankSplit) {
+  // {2,1,1}: x faces are remote on both ranks (periodic across the split),
+  // y wraps locally, z is a reflecting/refluxing wall. Immigrants finish
+  // their moves in the migration block, the last one.
+  auto gg = cube_grid(8, 0.5);
+  gg.ny = 5;
+  gg.nz = 4;
+  using grid::BoundaryKind;
+  gg.boundary = {BoundaryKind::kPeriodic, BoundaryKind::kPeriodic,
+                 BoundaryKind::kPeriodic, BoundaryKind::kPeriodic,
+                 BoundaryKind::kPec,      BoundaryKind::kAbsorbing};
+  ParticleBcSpec bc = periodic_particles();
+  bc[grid::kFaceZLo] = ParticleBc::kReflect;
+  bc[grid::kFaceZHi] = ParticleBc::kReflux;
+  const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
+  for (const int pipes : {1, 4}) {
+    SCOPED_TRACE("pipelines " + std::to_string(pipes));
+    std::vector<CycleCounts> counts(2);
+    vmpi::run(2, [&](vmpi::Comm& comm) {
+      CheckedPic pic(gg, topo, &comm, pipes, bc);
+      Species sp("e", -1.0, 1.0);
+      load_hot(sp, pic.grid);
+      CycleCounts& n = counts[std::size_t(comm.rank())];
+      for (int s = 0; s < kCheckedSteps; ++s) {
+        pic.step(sp, n, s);
+        // A failed check skips the rest of the step; the other rank would
+        // then wait for traffic, so abort the world instead of hanging.
+        if (HasFatalFailure()) MV_REQUIRE(false, "rank " << comm.rank());
+      }
+    });
+    for (int r = 0; r < 2; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const CycleCounts& n = counts[std::size_t(r)];
+      EXPECT_GT(n.crossings, 1000);
+      EXPECT_GT(n.migrated, 0);
+      EXPECT_GT(n.immigrated, 0);
+      EXPECT_GT(n.reflected, 0);
+      EXPECT_GT(n.refluxed, 0);
+      EXPECT_GT(n.migrate_block_entries, 0);
     }
   }
 }

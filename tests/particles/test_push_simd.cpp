@@ -370,7 +370,7 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
       auto r = pusher.advance(sp, interp, acc, &pool);
       migrate_particles(std::move(r.emigrants), sp, pusher, acc, grid,
                         nullptr);
-      acc.reduce();
+      acc.reduce(&pool);
       acc.unload(fields);
       accumulate_rho(sp, fields);
       halo.reduce_sources(fields);
@@ -490,6 +490,7 @@ TEST_P(SimdEquivalenceTest, SkinInteriorPassesMatchScalar) {
       out.passes.push_back(std::move(interior));
       out.acc.emplace_back(acc.data(),
                            acc.data() + acc.size() * std::size_t(pipes));
+      acc.reduce(&pool);  // leaves blocks 1..B-1 zero for the next clear()
     }
     out.particles.assign(sp.particles().begin(), sp.particles().end());
     return out;
@@ -509,10 +510,13 @@ TEST_P(SimdEquivalenceTest, SkinInteriorPassesMatchScalar) {
       emigrants += std::int64_t(a.res.emigrants.size());
       EXPECT_EQ(a.dead, b.dead) << "pass " << i;
       ASSERT_EQ(a.res.emigrants.size(), b.res.emigrants.size()) << i;
-      EXPECT_EQ(std::memcmp(a.res.emigrants.data(), b.res.emigrants.data(),
-                            a.res.emigrants.size() * sizeof(Emigrant)),
-                0)
-          << "emigrants differ, pass " << i;
+      // An empty list's data() may be null, which memcmp must not see.
+      if (!a.res.emigrants.empty()) {
+        EXPECT_EQ(std::memcmp(a.res.emigrants.data(), b.res.emigrants.data(),
+                              a.res.emigrants.size() * sizeof(Emigrant)),
+                  0)
+            << "emigrants differ, pass " << i;
+      }
     }
     for (std::size_t s = 0; s < ref.acc.size(); ++s)
       EXPECT_EQ(std::memcmp(ref.acc[s].data(), vec.acc[s].data(),
