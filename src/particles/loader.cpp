@@ -50,18 +50,15 @@ std::size_t load_uniform(Species& sp, const grid::LocalGrid& g,
         Rng mom_rng(cfg.seed, hash_combine(gcell, species_key));
         const std::int32_t voxel = g.voxel(i, j, k);
         for (int n = 0; n < cfg.ppc; ++n) {
-          // Fixed draw budget per particle keeps streams aligned no matter
-          // what downstream options consume.
+          // Fixed draw budget per particle (4 position draws, 2 per momentum
+          // component) keeps streams aligned no matter what is skipped:
+          // every draw is positioned by seek.
           pos_rng.seek(std::uint64_t(n) * 4);
-          mom_rng.seek(std::uint64_t(n) * 8);
           Particle p;
           p.dx = float(pos_rng.uniform(-1.0, 1.0));
           p.dy = float(pos_rng.uniform(-1.0, 1.0));
           p.dz = float(pos_rng.uniform(-1.0, 1.0));
           p.i = voxel;
-          p.ux = float(cfg.drift[0] + mom_rng.maxwellian(uth[0]));
-          p.uy = float(cfg.drift[1] + mom_rng.maxwellian(uth[1]));
-          p.uz = float(cfg.drift[2] + mom_rng.maxwellian(uth[2]));
           double w = base_w;
           const double x = g.node_x(i) + 0.5 * (1.0 + p.dx) * g.dx();
           const double y = g.node_y(j) + 0.5 * (1.0 + p.dy) * g.dy();
@@ -69,9 +66,19 @@ std::size_t load_uniform(Species& sp, const grid::LocalGrid& g,
           if (cfg.profile) {
             const double scale = cfg.profile(x, y, z);
             MV_REQUIRE(scale >= 0, "density profile must be non-negative");
-            if (scale == 0) continue;
+            if (scale == 0) continue;  // dropped before any momentum draw
             w *= scale;
           }
+          const auto momentum = [&](std::size_t a) {
+            // maxwellian(0) is +0.0 whatever it draws, so a component with
+            // no spread skips its Box-Muller draw.
+            if (uth[a] == 0) return cfg.drift[a] + 0.0;
+            mom_rng.seek(std::uint64_t(n) * 8 + 2 * a);
+            return cfg.drift[a] + mom_rng.maxwellian(uth[a]);
+          };
+          p.ux = float(momentum(0));
+          p.uy = float(momentum(1));
+          p.uz = float(momentum(2));
           if (cfg.drift_profile) {
             const auto du = cfg.drift_profile(x, y, z);
             p.ux += float(du[0]);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "particles/collisions.hpp"
-#include "particles/rho.hpp"
 #include "util/error.hpp"
 
 namespace minivpic::sim {
@@ -28,6 +27,16 @@ grid::LocalGrid make_local(const Deck& deck, vmpi::Comm* comm,
   return grid::LocalGrid(deck.grid, *topo, comm->rank());
 }
 
+/// The rho deposit's scale: the heaviest full-weight contribution over the
+/// deck's species, from the deck alone, so every path that builds this
+/// simulation's state (initialize, restore, rollback, resume) shares Q.
+double full_weight_rho(const Deck& deck) {
+  double c = 0;
+  for (const SpeciesConfig& sc : deck.species)
+    c = std::max(c, particles::full_weight_rho(sc.q, sc.load));
+  return c;
+}
+
 }  // namespace
 
 Simulation::Simulation(const Deck& deck, vmpi::Comm* comm,
@@ -47,7 +56,8 @@ Simulation::Simulation(const Deck& deck, vmpi::Comm* comm,
       // (their exchange is a no-op), which keeps reduce() bit-identical.
       acc_(grid_, pipeline_.size() +
                       (comm != nullptr && comm->size() > 1 ? 1 : 0)),
-      pusher_(grid_, deck.particle_bc) {
+      pusher_(grid_, deck.particle_bc),
+      rho_(grid_, full_weight_rho(deck)) {
   // Resolves kAuto to the widest kernel this host supports and validates
   // explicit choices (an explicitly requested unavailable kernel throws
   // here, before any particles are loaded).
@@ -106,15 +116,13 @@ void Simulation::initialize() {
   MV_REQUIRE(!initialized_, "initialize() called twice");
   for (std::size_t s = 0; s < species_.size(); ++s) {
     particles::load_uniform(*species_[s], grid_, deck_.species[s].load);
+    rho_.check_weights(*species_[s]);
   }
   solver_.refresh_all(fields_);
   if (deck_.init_settle_passes > 0) {
     // Relax E toward the sampled rho (cheap Poisson substitute): removes
     // the E = 0 vs noisy-rho startup transient.
-    auto rho = fields_.rhof_span();
-    std::fill(rho.begin(), rho.end(), grid::real{0});
-    for (auto& sp : species_) particles::accumulate_rho(*sp, fields_);
-    halo_.reduce_sources(fields_);
+    deposit_rho();
     cleaner_.clean_e(fields_, deck_.init_settle_passes);
   }
   solver_.boundary().capture(fields_);
@@ -327,9 +335,7 @@ void Simulation::step() {
   {
     const auto lap = probe(Phase::kSources);
     acc_.unload(fields_);
-    if (clean_now) {
-      for (auto& sp : species_) particles::accumulate_rho(*sp, fields_);
-    }
+    if (clean_now) add_rho();
     halo_.reduce_sources(fields_);
   }
 
@@ -383,10 +389,16 @@ std::int64_t Simulation::global_particle_count() const {
   return reduce_sum(n);
 }
 
+void Simulation::add_rho() {
+  std::vector<const particles::Species*> all;
+  for (const auto& sp : species_) all.push_back(sp.get());
+  rho_.deposit(all, fields_, &pipeline_);
+}
+
 void Simulation::deposit_rho() {
   auto rho = fields_.rhof_span();
   std::fill(rho.begin(), rho.end(), grid::real{0});
-  for (auto& sp : species_) particles::accumulate_rho(*sp, fields_);
+  add_rho();
   // Fold ghost deposits. reduce_sources also folds J ghosts, which are
   // empty outside the step, so this is safe mid-diagnostic.
   halo_.reduce_sources(fields_);

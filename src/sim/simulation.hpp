@@ -21,6 +21,7 @@
 #include "particles/interpolator.hpp"
 #include "particles/migrate.hpp"
 #include "particles/push.hpp"
+#include "particles/rho.hpp"
 #include "sim/deck.hpp"
 #include "telemetry/phase.hpp"
 #include "util/pipeline.hpp"
@@ -145,6 +146,9 @@ class Simulation {
   template <typename T>
   T reduce_sum(T v) const;
 
+  /// Adds every species' charge density to fields().rhof on the pool.
+  void add_rho();
+
   /// Instruments one phase of step() into every attached sink.
   telemetry::PhaseProbe probe(telemetry::Phase phase) {
     return {phase, timings_, trace_, recorder_};
@@ -164,6 +168,8 @@ class Simulation {
   /// interior deposits; reduce() folds it in fixed block order.
   particles::AccumulatorArray acc_;
   particles::Pusher pusher_;
+  /// Fixed-point rho deposit; its quantum comes from the deck.
+  particles::RhoDeposit rho_;
   std::unique_ptr<field::LaserAntenna> antenna_;
   std::vector<std::unique_ptr<particles::Species>> species_;
   std::vector<bool> mobile_;

@@ -136,6 +136,15 @@ inline pack<W> select(mask<W> m, pack<W> a, pack<W> b) {
   return r;
 }
 
+/// Rounds each lane to the nearest int32, ties to even (the default IEEE
+/// rounding mode, as cvtps2dq and fcvtns round), into out[0, W). Every lane
+/// must be finite and inside int32 range: out-of-range conversion is
+/// undefined behaviour in C++, so the caller guards.
+template <int W>
+inline void store_round_i32(pack<W> a, std::int32_t* out) {
+  for (int i = 0; i < W; ++i) out[i] = std::int32_t(std::nearbyint(a.v[i]));
+}
+
 /// Full lane mask for width W (bits() of an all-true compare).
 template <int W>
 constexpr unsigned all_lanes() {
@@ -217,6 +226,10 @@ inline mask<4> cmp_le(pack<4> a, pack<4> b) {
 
 inline pack<4> select(mask<4> m, pack<4> a, pack<4> b) {
   return {_mm_or_ps(_mm_and_ps(m.v, a.v), _mm_andnot_ps(m.v, b.v))};
+}
+
+inline void store_round_i32(pack<4> a, std::int32_t* out) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_cvtps_epi32(a.v));
 }
 
 /// 4-row transpose in 4-column blocks (VPIC's load_4x4_tr). The block path
@@ -317,6 +330,10 @@ inline mask<4> cmp_le(pack<4> a, pack<4> b) { return {vcleq_f32(a.v, b.v)}; }
 
 inline pack<4> select(mask<4> m, pack<4> a, pack<4> b) {
   return {vbslq_f32(m.v, a.v, b.v)};
+}
+
+inline void store_round_i32(pack<4> a, std::int32_t* out) {
+  vst1q_s32(out, vcvtnq_s32_f32(a.v));
 }
 
 #endif  // NEON

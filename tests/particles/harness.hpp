@@ -13,6 +13,11 @@
 
 namespace minivpic::particles::testing {
 
+/// The rho deposit scale of the harnesses: the full-weight contribution of a
+/// unit-charge, unit-density plasma at 1 particle per cell, the heaviest any
+/// particle test loads.
+inline constexpr double kFullWeightRho = 1.0;
+
 struct MiniPic {
   explicit MiniPic(const grid::GlobalGrid& gg,
                    const ParticleBcSpec& pbc = periodic_particles())
@@ -22,7 +27,8 @@ struct MiniPic {
         solver(grid, &halo),
         interp(grid),
         acc(grid),
-        pusher(grid, pbc) {
+        pusher(grid, pbc),
+        rho(grid, kFullWeightRho) {
     solver.boundary().capture(fields);
   }
 
@@ -45,7 +51,7 @@ struct MiniPic {
     }
     acc.reduce();  // clear, deposit, reduce, unload: the accumulator cycle
     acc.unload(fields);
-    for (Species* sp : species) accumulate_rho(*sp, fields);
+    rho.deposit({species.begin(), species.end()}, fields);
     halo.reduce_sources(fields);
     solver.advance_b(fields, 0.5);
     solver.advance_e(fields);
@@ -60,6 +66,7 @@ struct MiniPic {
   InterpolatorArray interp;
   AccumulatorArray acc;
   Pusher pusher;
+  RhoDeposit rho;
 };
 
 /// Multi-rank variant driven from inside a vmpi rank function.
@@ -73,7 +80,8 @@ struct MultiPic {
         solver(grid, &halo),
         interp(grid),
         acc(grid),
-        pusher(grid, pbc) {
+        pusher(grid, pbc),
+        rho(grid, kFullWeightRho) {
     solver.boundary().capture(fields);
   }
 
@@ -103,7 +111,7 @@ struct MultiPic {
     }
     acc.reduce();
     acc.unload(fields);
-    for (Species* sp : species) accumulate_rho(*sp, fields);
+    rho.deposit({species.begin(), species.end()}, fields);
     halo.reduce_sources(fields);
     solver.advance_b(fields, 0.5);
     solver.advance_e(fields);
@@ -119,6 +127,7 @@ struct MultiPic {
   InterpolatorArray interp;
   AccumulatorArray acc;
   Pusher pusher;
+  RhoDeposit rho;
 };
 
 inline grid::GlobalGrid cube_grid(int n, double h, double dt = 0) {

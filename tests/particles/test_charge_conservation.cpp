@@ -37,7 +37,7 @@ double max_residual_drift(MiniPic& pic, std::vector<Species*> species,
                           int steps) {
   // Establish the t=0 residual: deposit rho for the initial positions.
   pic.fields.clear_sources();
-  for (Species* sp : species) accumulate_rho(*sp, pic.fields);
+  pic.rho.deposit({species.begin(), species.end()}, pic.fields);
   pic.halo.reduce_sources(pic.fields);
   const auto r0 = gauss_residual(pic.fields);
   double drift = 0;
@@ -116,8 +116,7 @@ TEST(ChargeConservation, NeutralPairStartsGaussClean) {
   load_uniform(electrons, pic.grid, cfg);
   load_uniform(ions, pic.grid, cfg);
   pic.fields.clear_sources();
-  accumulate_rho(electrons, pic.fields);
-  accumulate_rho(ions, pic.fields);
+  pic.rho.deposit({&electrons, &ions}, pic.fields);
   pic.halo.reduce_sources(pic.fields);
   for (double r : gauss_residual(pic.fields))
     EXPECT_NEAR(r, 0.0, 1e-5);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/error.hpp"
@@ -185,6 +186,64 @@ TEST(LoaderTest, ProfileScalesWeights) {
   EXPECT_GT(n, 0u);
   const float base_w = float(0.125 / 4.0);
   for (const Particle& p : sp.particles()) EXPECT_FLOAT_EQ(p.w, 2.0f * base_w);
+}
+
+TEST(LoaderTest, ProfiledLoadIsByteExactSubsetOnSupport) {
+  // A profile only drops particles: the ones it keeps (at scale 1) carry the
+  // bytes of the unprofiled load, momenta included, although dropped
+  // particles draw no momenta.
+  const grid::LocalGrid g(cube(4));
+  LoadConfig cfg;
+  cfg.ppc = 5;
+  cfg.uth = 0.1;
+  cfg.drift = {0.05, 0, -0.02};
+  Species all("e", -1.0, 1.0), kept("e", -1.0, 1.0);
+  load_uniform(all, g, cfg);
+  const auto profile = [](double x, double, double z) {
+    return x < 1.0 || z > 1.6 ? 0.0 : 1.0;
+  };
+  cfg.profile = profile;
+  load_uniform(kept, g, cfg);
+  std::vector<Particle> expect;
+  for (const Particle& p : all.particles()) {
+    const auto c = g.voxel_coords(p.i);
+    const double x = g.node_x(c[0]) + 0.5 * (1.0 + p.dx) * g.dx();
+    const double z = g.node_z(c[2]) + 0.5 * (1.0 + p.dz) * g.dz();
+    if (profile(x, 0, z) != 0) expect.push_back(p);
+  }
+  ASSERT_GT(expect.size(), 0u);
+  ASSERT_LT(expect.size(), all.size());
+  ASSERT_EQ(kept.size(), expect.size());
+  EXPECT_EQ(std::memcmp(kept.data(), expect.data(),
+                        expect.size() * sizeof(Particle)),
+            0);
+}
+
+TEST(LoaderTest, ZeroSpreadLoadsDriftExactly) {
+  const grid::LocalGrid g(cube(4));
+  Species cold("ion", 1.0, 1836.0);
+  LoadConfig cfg;
+  cfg.ppc = 4;
+  cfg.drift = {0.25, -0.5, 0.1};
+  load_uniform(cold, g, cfg);
+  for (const Particle& p : cold.particles()) {
+    EXPECT_EQ(p.ux, float(0.25));
+    EXPECT_EQ(p.uy, float(-0.5));
+    EXPECT_EQ(p.uz, float(0.1));
+  }
+  // A component without spread skips its draw without shifting the others:
+  // hot along x only, ux matches the isotropic load's ux draw for draw.
+  Species iso("e", -1.0, 1.0), hot_x("e", -1.0, 1.0);
+  cfg.uth = 0.1;
+  load_uniform(iso, g, cfg);
+  cfg.uth3 = {0.1, 0, 0};
+  load_uniform(hot_x, g, cfg);
+  ASSERT_EQ(iso.size(), hot_x.size());
+  for (std::size_t n = 0; n < iso.size(); ++n) {
+    EXPECT_EQ(hot_x[n].ux, iso[n].ux);
+    EXPECT_EQ(hot_x[n].uy, float(-0.5));
+    EXPECT_EQ(hot_x[n].uz, float(0.1));
+  }
 }
 
 TEST(LoaderTest, InvalidConfigRejected) {

@@ -193,7 +193,7 @@ TEST(MigrateTest, GaussResidualInvariantAcrossRanks) {
     };
 
     pic.fields.clear_sources();
-    accumulate_rho(sp, pic.fields);
+    pic.rho.deposit({&sp}, pic.fields);
     pic.halo.reduce_sources(pic.fields);
     std::vector<double> r0, r;
     residual(r0);

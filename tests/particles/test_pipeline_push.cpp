@@ -38,7 +38,8 @@ struct PipelinePic {
         solver(grid, &halo),
         interp(grid),
         acc(grid, n_pipelines),
-        pusher(grid, pbc) {
+        pusher(grid, pbc),
+        rho(grid, testing::kFullWeightRho) {
     solver.boundary().capture(fields);
   }
 
@@ -59,7 +60,7 @@ struct PipelinePic {
     }
     acc.reduce(&pool);
     acc.unload(fields);
-    for (Species* sp : species) accumulate_rho(*sp, fields);
+    rho.deposit({species.begin(), species.end()}, fields, &pool);
     halo.reduce_sources(fields);
     solver.advance_b(fields, 0.5);
     solver.advance_e(fields);
@@ -75,6 +76,7 @@ struct PipelinePic {
   InterpolatorArray interp;
   AccumulatorArray acc;
   Pusher pusher;
+  RhoDeposit rho;
 };
 
 /// Loads counter-streaming electron beams (the two-stream setup): same
@@ -273,7 +275,7 @@ TEST(PipelinePushTest, ChargeConservedAtNPipelines) {
     return r;
   };
   pic.fields.clear_sources();
-  accumulate_rho(sp, pic.fields);
+  pic.rho.deposit({&sp}, pic.fields, &pic.pool);
   pic.halo.reduce_sources(pic.fields);
   const auto r0 = residual();
   double drift = 0;

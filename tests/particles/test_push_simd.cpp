@@ -360,7 +360,8 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
     PipelinePic(const grid::GlobalGrid& gg, int n)
         : pool(n), grid(gg), fields(grid), halo(grid, nullptr),
           solver(grid, &halo), interp(grid), acc(grid, n),
-          pusher(grid, periodic_particles()) {
+          pusher(grid, periodic_particles()),
+          rho(grid, testing::kFullWeightRho) {
       solver.boundary().capture(fields);
     }
     Pusher::Result step(Species& sp) {
@@ -372,7 +373,7 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
                         nullptr);
       acc.reduce(&pool);
       acc.unload(fields);
-      accumulate_rho(sp, fields);
+      rho.deposit({&sp}, fields, &pool);
       halo.reduce_sources(fields);
       solver.advance_b(fields, 0.5);
       solver.advance_e(fields);
@@ -387,6 +388,7 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
     InterpolatorArray interp;
     AccumulatorArray acc;
     Pusher pusher;
+    RhoDeposit rho;
   };
 
   MiniPic ref(cube_grid(8, 0.5));

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/checkpoint.hpp"
@@ -234,46 +236,71 @@ TEST(ResilienceCheckpoint, SaveLeavesNoTempFiles) {
 // -- kill / resume ------------------------------------------------------------
 
 TEST(ResilienceResume, KillAndResumeMatchesUninterrupted) {
-  const Deck deck = demo_deck();
-  const std::string prefix = temp_prefix("resume");
-  constexpr int kTotal = 20, kEvery = 5, kCrashAt = 13;
+  // The demo deck, and a Marder-cleaning one at 1 and 4 pipelines: its rho
+  // quantum comes from the deck, so the resumed run deposits the same rho.
+  std::vector<std::pair<std::string, Deck>> decks{{"demo", demo_deck()}};
+  for (const int pipelines : {1, 4}) {
+    Deck d = demo_deck();
+    d.clean_period = 5;
+    d.pipelines = pipelines;
+    decks.emplace_back("clean_period 5, pipelines " +
+                           std::to_string(pipelines),
+                       d);
+  }
+  for (const auto& [name, deck] : decks) {
+    SCOPED_TRACE(name);
+    const std::string prefix = temp_prefix("resume");
+    constexpr int kTotal = 20, kEvery = 5, kCrashAt = 13;
 
-  // Reference: uninterrupted run to kTotal.
-  Simulation ref(deck);
-  ref.initialize();
-  ref.run(kTotal);
+    // Reference: uninterrupted run to kTotal.
+    Simulation ref(deck);
+    ref.initialize();
+    ref.run(kTotal);
 
-  // Victim: periodic checkpoints every kEvery steps, "crash" at kCrashAt
-  // (the object is simply abandoned — the durable state is on disk).
-  {
-    Simulation victim(deck);
-    victim.initialize();
-    while (victim.step_index() < kCrashAt) {
-      victim.step();
-      if (victim.step_index() % kEvery == 0)
-        Checkpoint::save(victim, prefix, 2);
+    // Victim: periodic checkpoints every kEvery steps, "crash" at kCrashAt
+    // (the object is simply abandoned — the durable state is on disk).
+    {
+      Simulation victim(deck);
+      victim.initialize();
+      while (victim.step_index() < kCrashAt) {
+        victim.step();
+        if (victim.step_index() % kEvery == 0)
+          Checkpoint::save(victim, prefix, 2);
+      }
     }
-  }
-  ASSERT_EQ(Checkpoint::latest_step(prefix), 10);
+    ASSERT_EQ(Checkpoint::latest_step(prefix), 10);
 
-  // Resume from the rotated set and run to the same endpoint.
-  Simulation resumed(deck);
-  Checkpoint::restore(resumed, prefix);
-  EXPECT_EQ(resumed.step_index(), 10);
-  while (resumed.step_index() < kTotal) resumed.step();
+    // Resume from the rotated set and run to the same endpoint.
+    Simulation resumed(deck);
+    Checkpoint::restore(resumed, prefix);
+    EXPECT_EQ(resumed.step_index(), 10);
+    while (resumed.step_index() < kTotal) resumed.step();
 
-  EXPECT_EQ(resumed.step_index(), ref.step_index());
-  EXPECT_DOUBLE_EQ(resumed.time(), ref.time());
-  EXPECT_EQ(resumed.global_particle_count(), ref.global_particle_count());
-  const auto ea = ref.energies(), eb = resumed.energies();
-  EXPECT_DOUBLE_EQ(eb.total, ea.total);
-  for (const auto c : grid::em_components()) {
-    const grid::real* pa = grid::component_data(ref.fields(), c);
-    const grid::real* pb = grid::component_data(resumed.fields(), c);
-    for (std::int64_t v = 0; v < ref.fields().grid().num_voxels(); ++v)
-      ASSERT_EQ(pa[v], pb[v]) << "field mismatch at voxel " << v;
+    EXPECT_EQ(resumed.step_index(), ref.step_index());
+    EXPECT_DOUBLE_EQ(resumed.time(), ref.time());
+    EXPECT_EQ(resumed.global_particle_count(), ref.global_particle_count());
+    const auto ea = ref.energies(), eb = resumed.energies();
+    EXPECT_DOUBLE_EQ(eb.total, ea.total);
+    for (const auto c : grid::em_components()) {
+      const grid::real* pa = grid::component_data(ref.fields(), c);
+      const grid::real* pb = grid::component_data(resumed.fields(), c);
+      for (std::int64_t v = 0; v < ref.fields().grid().num_voxels(); ++v)
+        ASSERT_EQ(pa[v], pb[v]) << "field mismatch at voxel " << v;
+    }
+    // The last step cleaned on the cleaning decks: rho is bitwise too.
+    const auto ra = ref.fields().rhof_span(), rb = resumed.fields().rhof_span();
+    EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size_bytes()), 0);
+    for (std::size_t s = 0; s < ref.num_species(); ++s) {
+      const auto& a = ref.species(s);
+      const auto& b = resumed.species(s);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            a.size() * sizeof(particles::Particle)),
+                0)
+          << "species " << s;
+    }
+    Checkpoint::remove_all(prefix);
   }
-  Checkpoint::remove_all(prefix);
 }
 
 // -- health sentinels ---------------------------------------------------------

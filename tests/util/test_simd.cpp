@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -191,6 +193,27 @@ TYPED_TEST(TypedSimdTest, TransposeScatterStore) {
   for (int c = 0; c < kCols; ++c)
     for (int w = 0; w < W; ++w)
       EXPECT_EQ(dst[std::size_t(w) * kCols + c], vals[c][w]);
+}
+
+TYPED_TEST(TypedSimdTest, RoundToInt32TiesToEven) {
+  // The rho deposit's conversion: nearest int32, ties to even, for every
+  // value the deposit lets through (finite, inside +-(2^31 - 128)).
+  constexpr int W = TypeParam::value;
+  const std::pair<float, std::int32_t> cases[] = {
+      {0.5f, 0},          {1.5f, 2},           {2.5f, 2},
+      {-0.5f, 0},         {-1.5f, -2},         {-2.5f, -2},
+      {3.4f, 3},          {-3.6f, -4},         {-0.0f, 0},
+      {1000000.5f, 1000000}, {0x1.fffffep30f, 2147483520},
+      {-0x1.fffffep30f, -2147483520}};
+  constexpr int kCases = int(std::size(cases));
+  for (int first = 0; first < kCases; ++first) {
+    float in[W];
+    for (int i = 0; i < W; ++i) in[i] = cases[(first + i) % kCases].first;
+    std::int32_t out[W];
+    store_round_i32(pack<W>::loadu(in), out);
+    for (int i = 0; i < W; ++i)
+      EXPECT_EQ(out[i], cases[(first + i) % kCases].second) << in[i];
+  }
 }
 
 TEST(SimdArchTest, AllLanesMask) {
