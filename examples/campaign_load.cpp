@@ -14,6 +14,7 @@
 //            [--json]                # machine-readable summary on stdout
 //            [--metrics-json]        # also fetch the server's metrics
 //            [--timeout=s]           # per-response client deadline
+//            [--log-level=LVL]       # debug|info|warn|error
 //
 // Unique jobs vary `--axis` by thread and request index, so every
 // non-duplicate submit is a distinct content hash; duplicates all submit
@@ -71,6 +72,8 @@ int run(int argc, char** argv) {
                     "invalid-ratio", "axis", "base", "spread", "steps",
                     "priority", "client-prefix", "json", "metrics-json",
                     "timeout", "log-level"});
+  if (args.has("log-level"))
+    set_log_level(parse_log_level(args.get("log-level", "info")));
   if (!args.has("port")) {
     std::cerr << "usage: campaign_load --port=N [--clients=C] [--requests=R] "
                  "[--duplicate-ratio=F]\n"

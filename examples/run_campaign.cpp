@@ -100,13 +100,8 @@ int run(int argc, char** argv) {
                     "results", "resume", "scratch", "curve", "curve-axis",
                     "curve-metric", "metrics", "flight-recorder", "list",
                     "validate", "fail-job", "fail-attempts", "log-level"});
-  if (args.has("log-level")) {
-    const std::string lvl = args.get("log-level", "info");
-    set_log_level(lvl == "debug" ? LogLevel::kDebug
-                  : lvl == "warn" ? LogLevel::kWarn
-                  : lvl == "error" ? LogLevel::kError
-                                   : LogLevel::kInfo);
-  }
+  if (args.has("log-level"))
+    set_log_level(parse_log_level(args.get("log-level", "info")));
   if (args.has("validate")) return validate(args.get("validate", ""));
   if (args.positional().empty()) {
     std::cerr << "usage: run_campaign <deck-with-[campaign]> [--jobs=N] "

@@ -100,15 +100,6 @@ using namespace minivpic;
 
 namespace {
 
-LogLevel parse_log_level(const std::string& s) {
-  if (s == "debug") return LogLevel::kDebug;
-  if (s == "info") return LogLevel::kInfo;
-  if (s == "warn") return LogLevel::kWarn;
-  if (s == "error") return LogLevel::kError;
-  MV_REQUIRE(false, "unknown --log-level '" << s
-                                            << "' (debug|info|warn|error)");
-}
-
 /// End-of-run whole-run telemetry: one rank-reduced row per metric.
 void print_summary(std::ostream& os, const sim::Simulation& sim,
                    double wall_seconds, const telemetry::RankReducer& reducer) {
@@ -289,9 +280,8 @@ int run(int argc, char** argv) {
                  "       [--flight-recorder[=events]] [--fdr-prefix=PATH]\n";
     return 2;
   }
-  if (args.has("log-level")) {
+  if (args.has("log-level"))
     set_log_level(parse_log_level(args.get("log-level", "info")));
-  }
   const int steps = int(args.get_int("steps", 200));
   const int report = int(args.get_int("report", std::max(1, steps / 10)));
   const int metrics_every =

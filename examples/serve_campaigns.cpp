@@ -57,13 +57,8 @@ int run(int argc, char** argv) {
                     "max-resumes", "max-queued", "read-deadline", "results",
                     "queue-state", "scratch", "metrics", "fdr", "fail-label",
                     "fail-attempts", "log-level"});
-  if (args.has("log-level")) {
-    const std::string lvl = args.get("log-level", "info");
-    set_log_level(lvl == "debug" ? LogLevel::kDebug
-                  : lvl == "warn" ? LogLevel::kWarn
-                  : lvl == "error" ? LogLevel::kError
-                                   : LogLevel::kInfo);
-  }
+  if (args.has("log-level"))
+    set_log_level(parse_log_level(args.get("log-level", "info")));
   if (args.positional().empty()) {
     std::cerr << "usage: serve_campaigns <deck> [--port=N] [--port-file=PATH] "
                  "[--jobs=N]\n"

@@ -104,8 +104,7 @@ CampaignExecutor::AttemptOutcome CampaignExecutor::run_attempt(
 
     vmpi::WorldConfig wc;
     wc.timeout_seconds = config_.comm_timeout_seconds;
-    wc.checksum = config_.comm_integrity;
-    wc.sequencing = config_.comm_integrity;
+    wc.integrity = config_.comm_integrity;
     if (!recorders.empty()) {
       wc.comm_hook = telemetry::vmpi_comm_hook;
       wc.comm_hook_ctx = &recorder_set;

@@ -72,19 +72,10 @@ MigrateStats exchange_particles(std::vector<Emigrant> emigrants,
     stats.sent += static_cast<std::int64_t>(emigrants.size());
     emigrants.clear();
 
-    // Post a receive for every rank-adjacent face *before* sending, so a
-    // neighbor's payload completes at delivery time instead of queueing;
-    // then send on every such face (empty messages keep the pattern fixed).
-    // Completion order is up to the transport, but faces are *processed* in
-    // fixed face order below, so results are independent of timing.
-    std::array<vmpi::Request, 6> rx;
-    for (int face = 0; face < 6; ++face) {
-      const auto myface = static_cast<grid::Face>(face);
-      const int nbr = g.neighbor(myface);
-      if (nbr == grid::LocalGrid::kNoNeighbor || nbr == g.rank()) continue;
-      const int tag = kMigrateTagBase + static_cast<int>(opposite(myface));
-      rx[std::size_t(face)] = comm->ipost(nbr, tag);
-    }
+    // Send on every rank-adjacent face (empty messages keep the pattern
+    // fixed), then receive face by face in fixed face order, so results are
+    // independent of arrival timing. Sends are buffered, so no rank waits
+    // for a neighbour to post its receive.
     for (int face = 0; face < 6; ++face) {
       const int nbr = g.neighbor(static_cast<grid::Face>(face));
       if (nbr == grid::LocalGrid::kNoNeighbor || nbr == g.rank()) {
@@ -96,20 +87,13 @@ MigrateStats exchange_particles(std::vector<Emigrant> emigrants,
                  std::span<const WireEmigrant>(out[std::size_t(face)]));
     }
     for (int face = 0; face < 6; ++face) {
-      vmpi::Request& req = rx[std::size_t(face)];
-      if (!req.valid()) continue;
-      std::vector<WireEmigrant> incoming;
-      try {
-        comm->wait(req);
-        incoming = req.take<WireEmigrant>();
-      } catch (...) {
-        // A fault on this face: drop the remaining posted receives so no
-        // orphaned entry can swallow a later send, then let the recovery
-        // machinery see the typed error.
-        for (int f = face + 1; f < 6; ++f)
-          if (rx[std::size_t(f)].valid()) comm->cancel(rx[std::size_t(f)]);
-        throw;
-      }
+      const auto myface = static_cast<grid::Face>(face);
+      const int nbr = g.neighbor(myface);
+      if (nbr == grid::LocalGrid::kNoNeighbor || nbr == g.rank()) continue;
+      vmpi::Request req =
+          comm->ipost(nbr, kMigrateTagBase + static_cast<int>(opposite(myface)));
+      comm->wait(req);
+      const std::vector<WireEmigrant> incoming = req.take<WireEmigrant>();
       for (const WireEmigrant& w : incoming) {
         const auto face_in = static_cast<grid::Face>(w.face);
         const int axis = grid::face_axis(face_in);

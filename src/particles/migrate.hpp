@@ -5,13 +5,14 @@
 // rounds repeat until no rank holds emigrants.
 //
 // Two entry points share the implementation. exchange_particles is the
-// overlap-scheduler core (docs/OVERLAP.md): it uses posted receives
-// (vmpi::Comm::ipost) so payloads complete at delivery time, deposits into a
-// caller-chosen accumulator block, and buffers settled immigrants instead of
-// appending to the species — the three properties that make it safe to run
-// on a comm worker thread concurrently with the interior push. The classic
-// migrate_particles wrapper keeps the historical synchronous signature
-// (append to sp, deposit into block 0) for callers outside the step loop.
+// overlap-scheduler core (docs/OVERLAP.md): it receives each face's payload,
+// whose size only the sender knows, through vmpi::Comm::ipost; it deposits
+// into a caller-chosen accumulator block and buffers settled immigrants
+// instead of appending to the species — the two properties that make it
+// safe to run on a comm worker thread concurrently with the interior push.
+// The classic migrate_particles wrapper keeps the historical synchronous
+// signature (append to sp, deposit into block 0) for callers outside the
+// step loop.
 #pragma once
 
 #include <cstdint>

@@ -103,8 +103,7 @@ RecoveryReport RecoveryCoordinator::run(std::int64_t steps) {
 
     vmpi::WorldConfig wc;
     wc.timeout_seconds = config_.comm_timeout;
-    wc.checksum = config_.integrity;
-    wc.sequencing = config_.integrity;
+    wc.integrity = config_.integrity;
     wc.fault_plane = config_.fault_plane;
     wc.stats = &stats_;
     telemetry::RecorderSet recorder_set{config_.recorders.data(),

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include "util/error.hpp"
+
 namespace minivpic {
 
 namespace {
@@ -26,6 +28,15 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level); }
 
 LogLevel log_level() { return g_level.load(); }
+
+LogLevel parse_log_level(const std::string& s) {
+  if (s == "debug") return LogLevel::kDebug;
+  if (s == "info") return LogLevel::kInfo;
+  if (s == "warn") return LogLevel::kWarn;
+  if (s == "error") return LogLevel::kError;
+  MV_REQUIRE(false, "unknown --log-level '" << s
+                                            << "' (debug|info|warn|error)");
+}
 
 void log_message(LogLevel level, const std::string& msg) {
   if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;

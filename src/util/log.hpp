@@ -13,6 +13,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
+/// Parses a --log-level value (debug|info|warn|error); throws minivpic::Error
+/// naming the value otherwise.
+LogLevel parse_log_level(const std::string& s);
+
 /// Writes one line to stderr with a level prefix (thread-safe).
 void log_message(LogLevel level, const std::string& msg);
 

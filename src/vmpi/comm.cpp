@@ -30,7 +30,7 @@ Mailbox::Mailbox(int owner, int nranks, CommStats* stats)
 void Mailbox::push(Message msg) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (msg.has_seq) {
+    if (msg.framed) {
       auto& expected = next_seq_[static_cast<std::size_t>(msg.source)];
       if (msg.seq < expected) {
         // A duplicate delivery (replayed or fault-injected): discard.
@@ -45,53 +45,36 @@ void Mailbox::push(Message msg) {
       }
       expected = msg.seq + 1;
     }
-    // Direct fulfillment of a posted receive. Only a clean, immediately
-    // deliverable message may skip the queue: a delay-held message, a
-    // message from a source with a lost predecessor, or a message whose
-    // pattern already has a queued match must all go through the queue so
-    // FIFO order and typed failures stay exactly those of the pop path.
-    bool fulfilled = false;
-    if (!msg.delayed && !lost_[static_cast<std::size_t>(msg.source)]) {
-      for (auto& e : posted_) {
-        if (e->complete) continue;
-        if (!matches(msg, e->src, e->tag)) continue;
-        if (queue_has_match(e->src, e->tag)) continue;  // FIFO: queue wins
-        e->msg = std::move(msg);
-        e->complete = true;
-        fulfilled = true;
-        break;
-      }
-    }
-    if (!fulfilled) queue_.push_back(std::move(msg));
+    queue_.push_back(std::move(msg));
   }
   cv_.notify_all();
 }
 
-Message* Mailbox::find(int src, int tag) {
+bool Mailbox::take_locked(int src, int tag, Message* out) {
+  if (poisoned_)
+    throw CommError(Fault::kPoisoned, "vmpi recv aborted: " + poison_reason_);
+  if (revoked_ && tag != kAgreeTag)
+    throw CommError(Fault::kRevoked, "vmpi recv aborted: " + revoke_reason_);
   const auto now = Clock::now();
-  for (auto& m : queue_) {
-    if (!matches(m, src, tag)) continue;
-    if (lost_[static_cast<std::size_t>(m.source)])
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (!matches(*it, src, tag)) continue;
+    if (lost_[static_cast<std::size_t>(it->source)])
       throw CommError(Fault::kLost,
-                      "a message from rank " + std::to_string(m.source) +
+                      "a message from rank " + std::to_string(it->source) +
                           " was lost before " + wait_target(src, tag));
     // FIFO: never overtake the first match, even while a delay fault holds
     // it back.
-    if (m.delayed && m.not_before > now) return nullptr;
-    return &m;
+    if (it->delayed && it->not_before > now) return false;
+    *out = std::move(*it);
+    queue_.erase(it);
+    return true;
   }
-  return nullptr;
-}
-
-bool Mailbox::queue_has_match(int src, int tag) const {
-  for (const auto& m : queue_)
-    if (matches(m, src, tag)) return true;
   return false;
 }
 
 Clock::time_point Mailbox::check_and_bound(int src, int tag,
                                            Clock::time_point deadline) {
-  // Call with mutex_ held, after find() returned nothing deliverable.
+  // Call with mutex_ held, after take_locked() found nothing deliverable.
   const auto now = Clock::now();
   Clock::time_point bound = deadline;
   bool have_pending = false;
@@ -133,110 +116,20 @@ Clock::time_point Mailbox::check_and_bound(int src, int tag,
 
 Message Mailbox::pop(int src, int tag, Clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (poisoned_)
-      throw CommError(Fault::kPoisoned, "vmpi recv aborted: " + poison_reason_);
-    if (revoked_ && tag != kAgreeTag)
-      throw CommError(Fault::kRevoked, "vmpi recv aborted: " + revoke_reason_);
-    if (Message* m = find(src, tag)) {
-      Message msg = std::move(*m);
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (&*it == m) {
-          queue_.erase(it);
-          break;
-        }
-      }
-      return msg;
-    }
+  Message msg;
+  while (!take_locked(src, tag, &msg)) {
     const Clock::time_point bound = check_and_bound(src, tag, deadline);
     if (bound == kNoDeadline)
       cv_.wait(lock);
     else
       cv_.wait_until(lock, bound);
   }
+  return msg;
 }
 
-std::shared_ptr<PostedRecv> Mailbox::post(int src, int tag) {
-  auto entry = std::make_shared<PostedRecv>();
-  entry->src = src;
-  entry->tag = tag;
+bool Mailbox::try_pop(int src, int tag, Message* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Pure registration, never a throw: if a match is already queued (or the
-  // link is lost), the claim path consumes it — with the same FIFO order and
-  // typed failures as pop — so post() stays safe to call in bulk.
-  posted_.push_back(entry);
-  return entry;
-}
-
-void Mailbox::erase_posted_locked(const std::shared_ptr<PostedRecv>& entry) {
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (*it == entry) {
-      posted_.erase(it);
-      return;
-    }
-  }
-}
-
-bool Mailbox::claim_from_queue_locked(const std::shared_ptr<PostedRecv>& entry,
-                                      Message* out) {
-  if (Message* m = find(entry->src, entry->tag)) {
-    *out = std::move(*m);
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (&*it == m) {
-        queue_.erase(it);
-        break;
-      }
-    }
-    erase_posted_locked(entry);
-    return true;
-  }
-  return false;
-}
-
-bool Mailbox::try_claim(const std::shared_ptr<PostedRecv>& entry,
-                        Message* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (poisoned_)
-    throw CommError(Fault::kPoisoned, "vmpi recv aborted: " + poison_reason_);
-  if (revoked_ && entry->tag != kAgreeTag)
-    throw CommError(Fault::kRevoked, "vmpi recv aborted: " + revoke_reason_);
-  if (entry->complete) {
-    *out = std::move(entry->msg);
-    erase_posted_locked(entry);
-    return true;
-  }
-  // The non-blocking path reports lost predecessors (via find) but not peer
-  // death, so pollers can keep draining stragglers.
-  return claim_from_queue_locked(entry, out);
-}
-
-Message Mailbox::claim(const std::shared_ptr<PostedRecv>& entry,
-                       Clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (poisoned_)
-      throw CommError(Fault::kPoisoned, "vmpi recv aborted: " + poison_reason_);
-    if (revoked_ && entry->tag != kAgreeTag)
-      throw CommError(Fault::kRevoked, "vmpi recv aborted: " + revoke_reason_);
-    if (entry->complete) {
-      Message msg = std::move(entry->msg);
-      erase_posted_locked(entry);
-      return msg;
-    }
-    Message msg;
-    if (claim_from_queue_locked(entry, &msg)) return msg;
-    const Clock::time_point bound =
-        check_and_bound(entry->src, entry->tag, deadline);
-    if (bound == kNoDeadline)
-      cv_.wait(lock);
-    else
-      cv_.wait_until(lock, bound);
-  }
-}
-
-void Mailbox::cancel(const std::shared_ptr<PostedRecv>& entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  erase_posted_locked(entry);
+  return take_locked(src, tag, out);
 }
 
 void Mailbox::poison(const std::string& reason) {
@@ -401,13 +294,11 @@ std::uint64_t World::death_epoch() const {
 
 struct Request::Impl {
   Comm* comm = nullptr;
+  int src = -1;  // the (src, tag) pattern the deferred pop matches
+  int tag = -1;
   bool done = false;
   Status status;
-  // The mailbox entry a send fulfills, the delivered payload, and the
-  // one-shot completion callback.
-  std::shared_ptr<detail::PostedRecv> entry;
   std::vector<std::byte> payload;
-  RecvCallback on_complete;
 };
 
 bool Request::done() const {
@@ -423,7 +314,8 @@ const std::vector<std::byte>& Request::bytes() const {
 
 bool Request::test(Status* status) {
   MV_REQUIRE(impl_ != nullptr, "test on an empty request");
-  if (!impl_->done && !impl_->comm->try_complete(*impl_)) return false;
+  if (!impl_->done && !impl_->comm->complete(*impl_, /*block=*/false))
+    return false;
   if (status != nullptr) *status = impl_->status;
   return true;
 }
@@ -471,13 +363,10 @@ void Comm::deliver(int dst, int tag, const void* data, std::size_t bytes) {
   if (bytes != 0) std::memcpy(msg.payload.data(), data, bytes);
 
   const WorldConfig& cfg = world_->config();
-  if (cfg.sequencing) {
+  if (cfg.integrity) {
+    msg.framed = true;
     msg.seq = send_seq_[static_cast<std::size_t>(dst)]++;
-    msg.has_seq = true;
-  }
-  if (cfg.checksum) {
     msg.crc = Crc32::of(msg.payload.data(), bytes);
-    msg.has_crc = true;
   }
 
   if (cfg.fault_plane != nullptr) {
@@ -507,7 +396,7 @@ void Comm::deliver(int dst, int tag, const void* data, std::size_t bytes) {
 }
 
 void Comm::verify_frame(const detail::Message& msg) const {
-  if (!msg.has_crc) return;
+  if (!msg.framed) return;
   if (Crc32::of(msg.payload.data(), msg.payload.size()) == msg.crc) return;
   if (world_->stats() != nullptr) ++world_->stats()->crc_failures;
   throw CommError(Fault::kCorrupt,
@@ -523,72 +412,52 @@ void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
   deliver(dst, tag, data, bytes);
 }
 
-Status Comm::recv_bytes(int src, int tag, void* data, std::size_t capacity) {
-  MV_REQUIRE(src == kAnySource || (src >= 0 && src < size_),
-             "recv from invalid rank " << src);
+bool Comm::receive(int src, int tag, bool block, detail::Message* out) {
+  detail::Mailbox& mailbox = world_->mailbox(rank_);
   try {
-    detail::Message msg = world_->mailbox(rank_).pop(src, tag, call_deadline());
-    verify_frame(msg);
-    MV_REQUIRE(msg.payload.size() <= capacity,
-               "message of " << msg.payload.size()
-                             << " bytes exceeds buffer of " << capacity);
-    if (!msg.payload.empty())
-      std::memcpy(data, msg.payload.data(), msg.payload.size());
-    notify(kCommHookRecv, msg.source, 0, msg.payload.size());
-    return Status{msg.source, msg.tag, msg.payload.size()};
+    if (block)
+      *out = mailbox.pop(src, tag, call_deadline());
+    else if (!mailbox.try_pop(src, tag, out))
+      return false;
+    verify_frame(*out);
   } catch (const CommError& e) {
     notify(kCommHookFault, src, static_cast<int>(e.fault()), 0);
     throw;
   }
+  notify(kCommHookRecv, out->source, 0, out->payload.size());
+  return true;
 }
 
-Request Comm::ipost(int src, int tag, RecvCallback on_complete) {
+Status Comm::recv_bytes(int src, int tag, void* data, std::size_t capacity) {
+  MV_REQUIRE(src == kAnySource || (src >= 0 && src < size_),
+             "recv from invalid rank " << src);
+  detail::Message msg;
+  receive(src, tag, /*block=*/true, &msg);
+  MV_REQUIRE(msg.payload.size() <= capacity,
+             "message of " << msg.payload.size() << " bytes exceeds buffer of "
+                           << capacity);
+  if (!msg.payload.empty())
+    std::memcpy(data, msg.payload.data(), msg.payload.size());
+  return Status{msg.source, msg.tag, msg.payload.size()};
+}
+
+Request Comm::ipost(int src, int tag) {
   MV_REQUIRE(src == kAnySource || (src >= 0 && src < size_),
              "posted recv from invalid rank " << src);
   Request req;
   req.impl_ = std::make_shared<Request::Impl>();
   req.impl_->comm = this;
-  req.impl_->on_complete = std::move(on_complete);
-  req.impl_->entry = world_->mailbox(rank_).post(src, tag);
+  req.impl_->src = src;
+  req.impl_->tag = tag;
   return req;
 }
 
-void Comm::cancel(Request& request) {
-  if (request.impl_ == nullptr) return;
-  Request::Impl& impl = *request.impl_;
-  if (!impl.done) world_->mailbox(rank_).cancel(impl.entry);
-  // The request no longer represents anything: drop it entirely so
-  // valid() turns false (a canceled request is inert, not "completed").
-  request.impl_.reset();
-}
-
-void Comm::complete(Request::Impl& impl, detail::Message msg) {
-  // Observation-time half of a nonblocking receive: everything that can fail
-  // or that observers may see (CRC verification, the recv hook, the
-  // completion callback) runs here, on the thread driving the request —
-  // bit-for-bit the semantics of the blocking recv path, just with transport
-  // already done.
-  verify_frame(msg);
+bool Comm::complete(Request::Impl& impl, bool block) {
+  detail::Message msg;
+  if (!receive(impl.src, impl.tag, block, &msg)) return false;
   impl.payload = std::move(msg.payload);
   impl.status = Status{msg.source, msg.tag, impl.payload.size()};
   impl.done = true;
-  notify(kCommHookRecv, msg.source, 0, impl.payload.size());
-  if (impl.on_complete) {
-    RecvCallback cb = std::move(impl.on_complete);
-    impl.on_complete = nullptr;
-    cb(impl.status);
-  }
-}
-
-bool Comm::try_complete(Request::Impl& impl) {
-  detail::Message msg;
-  try {
-    if (!world_->mailbox(rank_).try_claim(impl.entry, &msg)) return false;
-    complete(impl, std::move(msg));
-  } catch (const CommError& e) {
-    notify(kCommHookFault, impl.entry->src, static_cast<int>(e.fault()), 0);
-    throw;
-  }
   return true;
 }
 
@@ -596,13 +465,7 @@ Status Comm::wait(Request& request) {
   MV_REQUIRE(request.impl_ != nullptr, "wait on an empty request");
   Request::Impl& impl = *request.impl_;
   MV_REQUIRE(impl.comm == this, "request waited on a different communicator");
-  if (impl.done) return impl.status;
-  try {
-    complete(impl, world_->mailbox(rank_).claim(impl.entry, call_deadline()));
-  } catch (const CommError& e) {
-    notify(kCommHookFault, impl.entry->src, static_cast<int>(e.fault()), 0);
-    throw;
-  }
+  if (!impl.done) complete(impl, /*block=*/true);
   return impl.status;
 }
 
@@ -664,9 +527,9 @@ std::int64_t Comm::agree_min(std::int64_t value, double timeout_seconds) {
     }
   }
 
-  // One posted receive per live peer. A posted entry stays registered in
-  // this rank's mailbox until claimed or canceled, so the receive of every
-  // rank the round excludes (dead or silent) is canceled.
+  // One receive per live peer, tested under one shared deadline. A rank
+  // that dies meanwhile is excluded by resetting its request; one still
+  // silent at the deadline is marked dead.
   struct Pending {
     int rank = -1;
     Request req;
@@ -678,38 +541,31 @@ std::int64_t Comm::agree_min(std::int64_t value, double timeout_seconds) {
     if (r != rank_) pending.push_back({r, ipost(r, detail::kAgreeTag)});
 
   std::int64_t result = value;
-  try {
-    for (;;) {
-      bool waiting = false;
+  for (;;) {
+    bool waiting = false;
+    for (Pending& p : pending) {
+      if (!p.open()) continue;
+      if (p.req.test()) {
+        const std::vector<std::int64_t> got = p.req.take<std::int64_t>();
+        MV_REQUIRE(got.size() == 1, "agreement payload holds "
+                                        << got.size() << " values, expected 1");
+        result = std::min(result, got[0]);
+      } else if (world_->is_dead(p.rank)) {
+        p.req = Request();  // a dead rank is excluded from the agreement
+      } else {
+        waiting = true;
+      }
+    }
+    if (!waiting) break;
+    if (detail::Clock::now() >= dl) {
       for (Pending& p : pending) {
         if (!p.open()) continue;
-        if (p.req.test()) {
-          const std::vector<std::int64_t> got = p.req.take<std::int64_t>();
-          MV_REQUIRE(got.size() == 1, "agreement payload holds "
-                                          << got.size()
-                                          << " values, expected 1");
-          result = std::min(result, got[0]);
-        } else if (world_->is_dead(p.rank)) {
-          cancel(p.req);  // a dead rank is excluded from the agreement
-        } else {
-          waiting = true;
-        }
+        if (world_->stats() != nullptr) ++world_->stats()->timeouts;
+        world_->mark_dead(p.rank, "no response in the agreement round");
       }
-      if (!waiting) break;
-      if (detail::Clock::now() >= dl) {
-        for (Pending& p : pending) {
-          if (!p.open()) continue;
-          if (world_->stats() != nullptr) ++world_->stats()->timeouts;
-          world_->mark_dead(p.rank, "no response in the agreement round");
-          cancel(p.req);
-        }
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      break;
     }
-  } catch (...) {
-    for (Pending& p : pending) cancel(p.req);
-    throw;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
   for (int r : world_->live_ranks())
@@ -723,15 +579,7 @@ void Comm::send_internal(int dst, const void* data, std::size_t bytes) {
 
 void Comm::recv_internal(int src, void* data, std::size_t bytes) {
   detail::Message msg;
-  try {
-    msg = world_->mailbox(rank_).pop(src, detail::kCollectiveTag,
-                                     call_deadline());
-    verify_frame(msg);
-  } catch (const CommError& e) {
-    notify(kCommHookFault, src, static_cast<int>(e.fault()), 0);
-    throw;
-  }
-  notify(kCommHookRecv, msg.source, 0, msg.payload.size());
+  receive(src, detail::kCollectiveTag, /*block=*/true, &msg);
   MV_REQUIRE(msg.payload.size() == bytes,
              "collective size mismatch: got " << msg.payload.size()
                                               << ", expected " << bytes

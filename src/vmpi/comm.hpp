@@ -13,6 +13,8 @@
 //    matched send/recv pair can never deadlock (like MPI_Bsend).
 //  * recv() blocks until a matching message arrives; matching is FIFO per
 //    (source, tag) with kAnySource / kAnyTag wildcards.
+//  * ipost() is a deferred recv of unknown size: its Request pops the same
+//    queue when test() or wait() runs, so every receive matches one way.
 //  * Collectives must be called by every rank in the same order (as in
 //    MPI). They use a reserved internal tag, which combined with per-source
 //    FIFO ordering makes successive collectives unambiguous.
@@ -20,9 +22,10 @@
 //    throw minivpic::Error instead of hanging.
 //
 // Fault tolerance (see docs/FAULTS.md): a WorldConfig passed to vmpi::run can
-// add per-call deadlines, CRC32 message framing, per-link sequence numbers,
-// and a FaultPlane injection schedule. Detected failures throw the typed
-// vmpi::CommError; the default configuration changes nothing.
+// add per-call deadlines, integrity framing (a CRC32 and a per-link sequence
+// number on every message), and a FaultPlane injection schedule. Detected
+// failures throw the typed vmpi::CommError; the default configuration
+// changes nothing.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -56,21 +58,22 @@ struct Status {
 enum class Op { kSum, kMin, kMax };
 
 namespace detail {
-class World;       // shared state of one Runtime::run invocation
-struct Message;    // a queued point-to-point message
-struct PostedRecv; // a pre-registered receive fulfilled at delivery time
+class World;     // shared state of one Runtime::run invocation
+struct Message;  // a queued point-to-point message
 /// Tag reserved for collective traffic; user tags must be >= 0.
 inline constexpr int kCollectiveTag = -2;
 }  // namespace detail
 
 /// Handle for a pending nonblocking receive, made by Comm::ipost.
 ///
-/// The receive is registered in the mailbox, so a matching send completes it
-/// at delivery time — genuinely asynchronous progress, no polling needed —
-/// with the payload stored inside the request (retrieve it with take<T>() or
-/// bytes()). The full FT pipeline (CRC verification, typed faults, comm
-/// hooks) runs on the receiving rank's thread at the test()/wait() call that
-/// first observes completion, never on the sender's thread.
+/// The request records only its (source, tag) pattern: it is a deferred pop
+/// of the rank's mailbox queue, which every send fills at send time. test()
+/// takes a matching message without blocking and wait() blocks for one,
+/// with the same FIFO matching, delay holds, typed faults, deadlines and
+/// comm hooks as a blocking receive, on the thread driving the request. The
+/// payload is stored inside the request (retrieve it with take<T>() or
+/// bytes()). A dropped request leaves nothing behind: a message it never
+/// took stays queued for the next receive that matches it.
 class Request {
  public:
   Request() = default;
@@ -79,9 +82,9 @@ class Request {
   /// True once test()/wait() observed completion.
   bool done() const;
 
-  /// Nonblocking completion check: if the receive was fulfilled or a
-  /// matching message is queued, consumes it and returns true (filling
-  /// `status` if given). Idempotent once complete, like wait().
+  /// Nonblocking completion check: if a matching message is deliverable,
+  /// consumes it and returns true (filling `status` if given). Idempotent
+  /// once complete, like wait().
   bool test(Status* status = nullptr);
 
   /// Payload of a completed receive.
@@ -106,11 +109,6 @@ class Request {
   struct Impl;
   std::shared_ptr<Impl> impl_;
 };
-
-/// Callback invoked exactly once when a receive's completion is first
-/// observed (inside test()/wait(), after CRC verification) — on the thread
-/// driving the request, never the sender's.
-using RecvCallback = std::function<void(const Status&)>;
 
 /// Per-rank communicator endpoint. Each rank's thread owns exactly one Comm;
 /// Comm methods are not thread-safe within a rank (as in MPI).
@@ -162,21 +160,12 @@ class Comm {
 
   // -- nonblocking ----------------------------------------------------------
 
-  /// Nonblocking receive of unknown size: registers the receive in this
-  /// rank's mailbox so a matching send completes it at delivery time (no
-  /// receiver polling). The payload lives inside the request — retrieve it
-  /// with Request::take<T>() / bytes() after wait() or a true test(). The
-  /// optional `on_complete` runs exactly once, on the thread that first
-  /// observes completion. FIFO matching, CRC framing, sequencing, deadlines,
-  /// and fault typing are identical to the blocking recv path. (Sends are
+  /// Nonblocking receive of unknown size: returns a request for (src, tag)
+  /// whose test()/wait() pops the first matching message (see Request).
+  /// Two outstanding requests whose patterns overlap complete in the order
+  /// they are observed, not the order they were posted. (Sends are
   /// buffered, so there is no isend: send() already returns at once.)
-  Request ipost(int src, int tag, RecvCallback on_complete = {});
-
-  /// Deregisters an unfinished receive (e.g. when a sibling receive failed
-  /// and the exchange is being torn down) and invalidates the request
-  /// (valid() turns false). Safe on completed or already-canceled requests:
-  /// they are just invalidated.
-  void cancel(Request& request);
+  Request ipost(int src, int tag);
 
   /// Blocks until the request completes; returns its Status.
   Status wait(Request& request);
@@ -291,12 +280,18 @@ class Comm {
   /// Deadline for a blocking call starting now (kNoDeadline if timeout 0).
   std::chrono::steady_clock::time_point call_deadline() const;
 
-  /// Nonblocking-receive progress: Request::test claims without blocking
-  /// (try_complete), wait() blocks in the mailbox; both finish in
-  /// complete(), which runs the observation-time FT pipeline.
+  /// The one receive path of recv_bytes, the collectives and Request
+  /// completion: takes the first message matching (src, tag), blocking
+  /// until the call deadline if `block` (Mailbox::pop), else only if one is
+  /// deliverable now (Mailbox::try_pop, which returns false otherwise);
+  /// verifies its CRC frame and feeds the recv hook. A CommError feeds the
+  /// fault hook on its way out.
+  bool receive(int src, int tag, bool block, detail::Message* out);
+
+  /// Completes a request through receive(); Request::test calls it without
+  /// blocking, wait() with.
   friend class Request;
-  bool try_complete(Request::Impl& impl);
-  void complete(Request::Impl& impl, detail::Message msg);
+  bool complete(Request::Impl& impl, bool block);
 
   /// Collective-plane p2p (reserved tag; exact-size receive).
   void send_internal(int dst, const void* data, std::size_t bytes);

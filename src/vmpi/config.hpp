@@ -73,18 +73,16 @@ struct CommStats {
 
 /// Per-world fault-tolerance knobs.
 struct WorldConfig {
-  /// Default deadline, in seconds, for every blocking call (recv, probe,
-  /// wait, barrier, collectives). 0 means wait forever (the pre-FT default).
+  /// Default deadline, in seconds, for every blocking call (recv, wait,
+  /// barrier, collectives). 0 means wait forever (the pre-FT default).
   double timeout_seconds = 0.0;
 
-  /// CRC32-frame every message; the receiver verifies on delivery and throws
-  /// CommError(Fault::kCorrupt) on mismatch. Payload bytes are untouched.
-  bool checksum = false;
-
-  /// Per-link sequence numbers: duplicated messages are discarded on arrival
-  /// and a gap (a dropped message) surfaces as CommError(Fault::kLost) at
-  /// the next receive from that source.
-  bool sequencing = false;
+  /// Integrity framing: every message carries a CRC32 of its payload and a
+  /// per-link sequence number. The receiver throws CommError(Fault::kCorrupt)
+  /// on a CRC mismatch, discards duplicated messages on arrival, and
+  /// surfaces a gap (a dropped message) as CommError(Fault::kLost) at the
+  /// next receive from that source. Payload bytes are untouched.
+  bool integrity = false;
 
   /// Optional fault-injection schedule (not owned; may be null).
   FaultPlane* fault_plane = nullptr;

@@ -1,6 +1,11 @@
 // Internal shared state of a vmpi Runtime::run invocation: one mailbox per
 // rank, a central barrier, and the fault-tolerance state (liveness epochs,
 // revocation flag) they share. Not part of the public API.
+//
+// A mailbox matches messages one way. A send copies its message into the
+// receiver's FIFO queue at send time, and every receive (blocking, a
+// collective's, or a Request's test/wait) takes the first deliverable match
+// from that queue: pop blocks for it, try_pop does not.
 #pragma once
 
 #include <chrono>
@@ -31,28 +36,15 @@ struct Message {
   int source = -1;
   int tag = -1;
   std::vector<std::byte> payload;
-  // Optional integrity framing (WorldConfig::checksum / sequencing). Carried
-  // beside the payload, never inside it, so enabling framing cannot perturb
-  // delivered bytes.
+  // Optional integrity framing (WorldConfig::integrity): a payload CRC and
+  // a per-link sequence number. Carried beside the payload, never inside
+  // it, so enabling framing cannot perturb delivered bytes.
+  bool framed = false;
   std::uint32_t crc = 0;
-  bool has_crc = false;
   std::uint64_t seq = 0;
-  bool has_seq = false;
-  // Delay-fault hold: the message is invisible to pop/claim before this.
+  // Delay-fault hold: the message is invisible to pop/try_pop before this.
   Clock::time_point not_before{};
   bool delayed = false;
-};
-
-/// A posted (pre-registered) receive: push() fulfills it at delivery time by
-/// moving the matching message straight into `msg`, so completion needs no
-/// receiver-side polling. CRC verification, comm hooks, and fault typing
-/// stay on the receiver thread (Comm observes completion via test()/wait());
-/// the sender thread only copies bytes under the mailbox lock.
-struct PostedRecv {
-  int src = -1;          ///< kAnySource allowed
-  int tag = -1;          ///< kAnyTag allowed
-  Message msg;           ///< the fulfilled message (valid when complete)
-  bool complete = false;
 };
 
 /// Thread-safe per-rank message queue with (source, tag) FIFO matching,
@@ -69,29 +61,12 @@ class Mailbox {
   /// matched source, or (for a specific src) a dead peer.
   Message pop(int src, int tag, Clock::time_point deadline = kNoDeadline);
 
-  /// Registers a posted receive for (src, tag) and returns the entry handle;
-  /// pure registration, never a throw. A later push() fulfills it directly
-  /// — unless an earlier queued message matches the same pattern (FIFO) or
-  /// the arriving message is delay-held or follows a lost predecessor, in
-  /// which cases the message queues and the claim path picks it up, as it
-  /// does a match that was already queued at post time.
-  std::shared_ptr<PostedRecv> post(int src, int tag);
-
-  /// Non-blocking claim: moves the fulfilled message into *out and
-  /// deregisters the entry when complete, also polling the queue (a
-  /// delay-held match becomes claimable once its hold expires). Throws on
-  /// poison, revocation, or a lost predecessor — but not on peer death, so
-  /// pollers can keep draining stragglers.
-  bool try_claim(const std::shared_ptr<PostedRecv>& entry, Message* out);
-
-  /// Blocking claim with the same failure modes as pop (including peer
-  /// death and deadline expiry).
-  Message claim(const std::shared_ptr<PostedRecv>& entry,
-                Clock::time_point deadline = kNoDeadline);
-
-  /// Deregisters an incomplete posted receive; a fulfilled-but-unclaimed
-  /// entry's message is dropped (the caller abandoned it).
-  void cancel(const std::shared_ptr<PostedRecv>& entry);
+  /// Non-blocking twin of pop: if a match is deliverable now, moves it into
+  /// *out and returns true; otherwise returns false at once (a delay-held
+  /// match becomes deliverable once its hold expires). Throws on poison,
+  /// revocation, or a lost predecessor — but not on peer death, so pollers
+  /// can keep draining stragglers.
+  bool try_pop(int src, int tag, Message* out);
 
   /// Marks the mailbox dead; all blocked and future pops throw.
   void poison(const std::string& reason);
@@ -109,29 +84,19 @@ class Mailbox {
     return (src == -1 || m.source == src) && (tag == -1 || m.tag == tag);
   }
 
-  Message* find(int src, int tag);
-
-  /// True if any queued message (deliverable or delay-held) matches; a held
-  /// match still blocks direct fulfillment of a posted receive, because FIFO
-  /// order must hold across the hold window.
-  bool queue_has_match(int src, int tag) const;
+  /// The find-and-erase behind pop and try_pop. Call with mutex_ held.
+  /// Throws on poison, revocation (off the agreement plane), or a lost
+  /// predecessor; returns false if no match is deliverable now.
+  bool take_locked(int src, int tag, Message* out);
 
   /// Throws if the mailbox state forbids a (src, tag) wait; returns the
   /// wake-up bound (deadline, or an earlier delayed-match due time).
   Clock::time_point check_and_bound(int src, int tag,
                                     Clock::time_point deadline);
 
-  /// Queue-side completion for a claim: consumes a deliverable queued match
-  /// into *out. Call with mutex_ held. Throws kLost like find/pop.
-  bool claim_from_queue_locked(const std::shared_ptr<PostedRecv>& entry,
-                               Message* out);
-
-  void erase_posted_locked(const std::shared_ptr<PostedRecv>& entry);
-
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Message> queue_;
-  std::vector<std::shared_ptr<PostedRecv>> posted_;  // in post order
   int owner_;
   bool poisoned_ = false;
   std::string poison_reason_;

@@ -92,7 +92,7 @@ TEST(VmpiFault, CrcDetectsInjectedBitFlip) {
   FaultPlane plane;
   plane.corrupt_message(/*rank=*/0, /*step=*/0, /*bit=*/3);
   WorldConfig cfg;
-  cfg.checksum = true;
+  cfg.integrity = true;
   cfg.fault_plane = &plane;
   CommStats stats;
   cfg.stats = &stats;
@@ -120,7 +120,7 @@ TEST(VmpiFault, DuplicateIsDroppedSilently) {
   FaultPlane plane;
   plane.duplicate_message(0, 0);
   WorldConfig cfg;
-  cfg.sequencing = true;
+  cfg.integrity = true;
   cfg.fault_plane = &plane;
   CommStats stats;
   cfg.stats = &stats;
@@ -143,7 +143,7 @@ TEST(VmpiFault, DroppedMessageSurfacesAsLostViaSequenceGap) {
   FaultPlane plane;
   plane.drop_message(0, 0);
   WorldConfig cfg;
-  cfg.sequencing = true;
+  cfg.integrity = true;
   cfg.fault_plane = &plane;
   CommStats stats;
   cfg.stats = &stats;
@@ -221,14 +221,14 @@ TEST(VmpiFault, PeerDeathWakesBlockedReceiverWithoutDeadline) {
 //
 // The overlap scheduler (docs/OVERLAP.md) drives particle migration through
 // posted receives on a comm worker thread, so every detection path proven
-// above for blocking recv must also fire at the test()/wait() observation
-// point of an ipost entry.
+// above for blocking recv must also fire when test()/wait() completes an
+// ipost request.
 
 TEST(VmpiFault, PostedRecvSurfacesCrcCorruptionAtWait) {
   FaultPlane plane;
   plane.corrupt_message(/*rank=*/0, /*step=*/0, /*bit=*/5);
   WorldConfig cfg;
-  cfg.checksum = true;
+  cfg.integrity = true;
   cfg.fault_plane = &plane;
   CommStats stats;
   cfg.stats = &stats;
@@ -280,7 +280,7 @@ TEST(VmpiFault, PostedRecvSurfacesSequenceGapAsLost) {
   FaultPlane plane;
   plane.drop_message(0, 0);
   WorldConfig cfg;
-  cfg.sequencing = true;
+  cfg.integrity = true;
   cfg.fault_plane = &plane;
   CommStats stats;
   cfg.stats = &stats;
