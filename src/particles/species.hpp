@@ -55,6 +55,14 @@ class Species {
   /// Ensures room for at least n particles.
   void reserve(std::size_t n);
 
+  /// Sets the particle count to n, growing storage as reserve(n) does.
+  /// Slots past the old count keep whatever the storage holds: a bulk
+  /// loader writes them (into reserved capacity) before it calls this.
+  void resize(std::size_t n) {
+    reserve(n);
+    np_ = n;
+  }
+
   // -- diagnostics ---------------------------------------------------------
   /// Total kinetic energy: sum of w m (gamma - 1) (c = 1).
   double kinetic_energy() const;

@@ -115,7 +115,8 @@ particles::Species* Simulation::find_species(const std::string& name) {
 void Simulation::initialize() {
   MV_REQUIRE(!initialized_, "initialize() called twice");
   for (std::size_t s = 0; s < species_.size(); ++s) {
-    particles::load_uniform(*species_[s], grid_, deck_.species[s].load);
+    particles::load_uniform(*species_[s], grid_, deck_.species[s].load,
+                            &pipeline_, pusher_.kernel());
     rho_.check_weights(*species_[s]);
   }
   solver_.refresh_all(fields_);
@@ -130,7 +131,8 @@ void Simulation::initialize() {
   // the initial fields (zero here unless a restart seeded them).
   interp_.load(fields_);
   for (std::size_t s = 0; s < species_.size(); ++s) {
-    if (mobile_[s]) particles::uncenter_p(*species_[s], interp_, grid_);
+    if (mobile_[s])
+      particles::uncenter_p(*species_[s], interp_, grid_, &pipeline_);
   }
   initialized_ = true;
 }

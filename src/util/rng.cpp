@@ -5,17 +5,8 @@
 
 namespace minivpic {
 
-namespace {
-
-constexpr std::uint64_t kWeyl = 0x9E3779B97F4A7C15ull;
-
-constexpr std::uint64_t splitmix(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
+using detail::kWeyl;
+using detail::splitmix;
 
 std::uint64_t hash_mix(std::uint64_t x) noexcept { return splitmix(x + kWeyl); }
 
@@ -26,14 +17,7 @@ std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept
     : base_(hash_combine(seed, stream)) {}
 
-std::uint64_t Rng::next_u64() noexcept {
-  return splitmix(base_ + kWeyl * ++counter_);
-}
-
-double Rng::uniform() noexcept {
-  // 53 mantissa bits -> uniform double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() noexcept { return unit(next_u64()); }
 
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
@@ -47,8 +31,8 @@ std::uint64_t Rng::uniform_u64(std::uint64_t n) noexcept {
 }
 
 double Rng::normal() noexcept {
-  // Box–Muller; draw u1 away from zero so log() is finite.
-  const double u1 = (static_cast<double>(next_u64() >> 11) + 0.5) * 0x1.0p-53;
+  // Box–Muller; u1 is drawn away from zero so log() is finite.
+  const double u1 = open_unit(next_u64());
   const double u2 = uniform();
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
@@ -59,8 +43,7 @@ double Rng::normal(double mean, double sigma) noexcept {
 }
 
 double Rng::exponential() noexcept {
-  const double u = (static_cast<double>(next_u64() >> 11) + 0.5) * 0x1.0p-53;
-  return -std::log(u);
+  return -std::log(open_unit(next_u64()));
 }
 
 }  // namespace minivpic

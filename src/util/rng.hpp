@@ -13,6 +13,19 @@
 
 namespace minivpic {
 
+namespace detail {
+
+inline constexpr std::uint64_t kWeyl = 0x9E3779B97F4A7C15ull;
+
+/// The SplitMix64 output permutation.
+constexpr std::uint64_t splitmix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace detail
+
 /// Counter-based RNG: independent streams, O(1) seek, 64-bit output.
 class Rng {
  public:
@@ -24,8 +37,26 @@ class Rng {
   void seek(std::uint64_t counter) noexcept { counter_ = counter; }
   std::uint64_t counter() const noexcept { return counter_; }
 
-  /// Next raw 64-bit draw.
-  std::uint64_t next_u64() noexcept;
+  /// The raw 64-bit draw at absolute position `counter` of this stream,
+  /// without moving the generator: draw n (1-based) after seek(c) is
+  /// at(c + n). Batched loaders read whole blocks of a stream this way.
+  std::uint64_t at(std::uint64_t counter) const noexcept {
+    return detail::splitmix(base_ + detail::kWeyl * counter);
+  }
+
+  /// Next raw 64-bit draw: at(counter() + 1), then the counter advances.
+  std::uint64_t next_u64() noexcept { return at(++counter_); }
+
+  /// A raw draw as a uniform double in [0,1) (its top 53 bits).
+  static double unit(std::uint64_t raw) noexcept {
+    return static_cast<double>(raw >> 11) * 0x1.0p-53;
+  }
+
+  /// A raw draw as a uniform double in (0,1): unit() offset half a step,
+  /// so log() of it is finite.
+  static double open_unit(std::uint64_t raw) noexcept {
+    return (static_cast<double>(raw >> 11) + 0.5) * 0x1.0p-53;
+  }
 
   /// Uniform in [0,1).
   double uniform() noexcept;
