@@ -1,7 +1,6 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -70,12 +69,11 @@ std::string job_id(const std::string& fingerprint,
   std::sort(specs.begin(), specs.end());
   std::string blob = fingerprint + "|steps=" + std::to_string(steps);
   for (const std::string& s : specs) blob += "|" + s;
-  std::ostringstream id;
-  id << std::hex;
-  id.width(16);
-  id.fill('0');
-  id << fnv1a64(blob);
-  return id.str();
+  std::string id(16, '0');
+  std::uint64_t h = fnv1a64(blob);
+  for (int d = 15; d >= 0; --d, h >>= 4)
+    id[std::size_t(d)] = "0123456789abcdef"[h & 0xf];
+  return id;
 }
 
 CampaignSpec CampaignSpec::from_deck_text(const std::string& text) {
@@ -114,6 +112,12 @@ CampaignSpec CampaignSpec::from_deck_source(sim::DeckSource base) {
                             << "' (axes are dotted section.key names; "
                                "controls are steps, probe_plane, warmup)");
     }
+  }
+  // Built once, so a job rebuilds only the sections its overrides touch. A
+  // base that does not build on its own leaves every job a full build.
+  try {
+    spec.built_ = base.build();
+  } catch (const Error&) {
   }
   spec.base_ = std::move(base);
   return spec;
@@ -170,8 +174,9 @@ std::vector<Job> CampaignSpec::expand() const {
     job.id = job_id(fingerprint_, job.overrides, job.steps);
     jobs.push_back(std::move(job));
   }
-  // Fail on typos before any compute: building a Deck is cheap (no
-  // particles are loaded), so validate every job up front.
+  // Fail on typos before any compute: building a job's Deck is cheap (no
+  // particles are loaded, and only the overridden sections are rebuilt), so
+  // validate every job up front.
   for (const Job& job : jobs) (void)make_deck(job);
   return jobs;
 }
@@ -185,6 +190,7 @@ sim::Deck CampaignSpec::make_deck(const Job& job) const {
     return src.build();
   }
   if (factory_) return factory_(job.overrides);
+  if (built_) return base_.build_with(job.overrides, *built_);
   sim::DeckSource src = base_;
   for (const sim::DeckOverride& ov : job.overrides) src.apply_override(ov);
   return src.build();

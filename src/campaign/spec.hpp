@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,7 @@ class CampaignSpec {
 
  private:
   sim::DeckSource base_;
+  std::optional<sim::Deck> built_;  ///< base_.build(), when it builds alone
   std::function<sim::Deck(const std::vector<sim::DeckOverride>&)> factory_;
   std::string fingerprint_;  ///< canonical base text or factory label
   std::vector<Axis> axes_;

@@ -77,8 +77,8 @@ struct DeckSection {
 
 /// A tokenized deck held between parse and build, so overrides can be
 /// applied with full deck-grammar validation. This is the substrate of both
-/// `run_deck --set` and the campaign job expander: parse once, clone per
-/// job, override, build.
+/// `run_deck --set` and the campaign job expander: parse and build once,
+/// then per job rebuild only what its overrides touch (build_with).
 class DeckSource {
  public:
   DeckSource() = default;
@@ -101,6 +101,15 @@ class DeckSource {
   /// Builds and fully validates the Deck (unknown keys/sections throw).
   /// The [campaign] section, if any, is skipped.
   Deck build() const;
+
+  /// What a copy of this source with `overrides` applied (in order) would
+  /// build, with the same validation and messages, given `built`, this
+  /// source's own build(): only the sections the overrides touch are built
+  /// again. When a touched section's header repeats (two grid, laser or
+  /// control sections, or two species or collision sections of one name),
+  /// it builds the copy in full instead.
+  Deck build_with(const std::vector<DeckOverride>& overrides,
+                  const Deck& built) const;
 
   /// The [campaign] section's raw lines (comment-stripped, trimmed);
   /// empty when the deck has none. Consumed by campaign::CampaignSpec.
