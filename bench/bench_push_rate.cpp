@@ -23,8 +23,6 @@
 //                   pair with --shuffle for the sorted-vs-unsorted
 //                   experiment (docs/SORTING.md). Per-iteration times are
 //                   per *period* in this mode, not per advance.
-//   --json=PATH     machine-readable results; shorthand for google-benchmark's
-//                   --benchmark_out=PATH --benchmark_out_format=json
 // The JSON context records the kernel sweep plus `sort_every` and
 // `initial_order`, and every advance benchmark reports an end-of-run
 // `sortedness` counter (fraction of adjacent particles in voxel order), so
@@ -248,12 +246,9 @@ void register_advance_benchmarks(const std::vector<int>& pipeline_counts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --pipelines/--json flags before google-benchmark sees
-  // argv. --json is rewritten into the library's own JSON reporter flags so
-  // every bench shares the one --json=PATH convention.
+  // Peel off our own flags before google-benchmark sees argv.
   std::vector<int> counts;
   std::vector<Kernel> kernels;
-  std::vector<std::string> extra;
   std::vector<char*> bargv;
   bool shuffle = false;
   int sort_every = 0;
@@ -273,14 +268,10 @@ int main(int argc, char** argv) {
       sort_every = std::max(0, std::atoi(a + 13));
     } else if (std::strcmp(a, "--sort-every") == 0 && i + 1 < argc) {
       sort_every = std::max(0, std::atoi(argv[++i]));
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      extra.push_back(std::string("--benchmark_out=") + (a + 7));
-      extra.push_back("--benchmark_out_format=json");
     } else {
       bargv.push_back(argv[i]);
     }
   }
-  for (std::string& s : extra) bargv.push_back(s.data());
   if (counts.empty()) counts = pipeline_sweep();
   if (kernels.empty()) kernels = available_kernels();
   {

@@ -8,8 +8,6 @@
 //
 //   --kernel=NAME   pin to one kernel: scalar|sse|avx2|avx512|auto
 //                   (default: every kernel this host can run)
-//   --json=PATH     machine-readable results; shorthand for
-//                   --benchmark_out=PATH --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -123,7 +121,6 @@ void register_push_benchmarks(const std::vector<Kernel>& kernels) {
 
 int main(int argc, char** argv) {
   std::vector<Kernel> kernels;
-  std::vector<std::string> extra;
   std::vector<char*> bargv;
   for (int i = 0; i < argc; ++i) {
     const char* a = argv[i];
@@ -131,14 +128,10 @@ int main(int argc, char** argv) {
       kernels = {resolve_kernel(parse_kernel(a + 9))};
     } else if (std::strcmp(a, "--kernel") == 0 && i + 1 < argc) {
       kernels = {resolve_kernel(parse_kernel(argv[++i]))};
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      extra.push_back(std::string("--benchmark_out=") + (a + 7));
-      extra.push_back("--benchmark_out_format=json");
     } else {
       bargv.push_back(argv[i]);
     }
   }
-  for (std::string& s : extra) bargv.push_back(s.data());
   if (kernels.empty()) kernels = available_kernels();
   {
     std::string names;

@@ -104,7 +104,6 @@ CampaignExecutor::AttemptOutcome CampaignExecutor::run_attempt(
 
     vmpi::WorldConfig wc;
     wc.timeout_seconds = config_.comm_timeout_seconds;
-    wc.integrity = config_.comm_integrity;
     if (!recorders.empty()) {
       wc.comm_hook = telemetry::vmpi_comm_hook;
       wc.comm_hook_ctx = &recorder_set;

@@ -57,9 +57,6 @@ struct ExecutorConfig {
   /// deadline and the job takes the retry path instead of hanging its
   /// worker. See docs/FAULTS.md.
   double comm_timeout_seconds = 0;
-  /// CRC32-frame + sequence-number every vmpi message inside job worlds
-  /// (detects corruption, duplication and loss; payloads untouched).
-  bool comm_integrity = false;
   /// Optional campaign.* counters + queue-depth gauge sink. Must outlive
   /// run(). The registry locks itself, so it may be shared with other
   /// producers (the service layer's service.* instruments).

@@ -6,6 +6,10 @@
 
 namespace minivpic::campaign {
 
+namespace {
+constexpr double kBackoffFactor = 2.0;  // delay multiplier per further retry
+}  // namespace
+
 const char* job_state_name(JobState s) {
   switch (s) {
     case JobState::kPending: return "pending";
@@ -186,7 +190,7 @@ bool JobQueue::fail(const std::string& id, const std::string& error) {
     } else {
       e->state = JobState::kPending;
       double delay = policy_.backoff_seconds;
-      for (int i = 1; i < e->attempts; ++i) delay *= policy_.backoff_factor;
+      for (int i = 1; i < e->attempts; ++i) delay *= kBackoffFactor;
       e->not_before = std::chrono::steady_clock::now() +
                       std::chrono::duration_cast<SteadyTime::duration>(
                           std::chrono::duration<double>(delay));

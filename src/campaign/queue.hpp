@@ -30,8 +30,7 @@ namespace minivpic::campaign {
 /// Failure/timeout handling knobs shared by the queue and the executor.
 struct RetryPolicy {
   int max_attempts = 3;         ///< failure attempts per job (>= 1)
-  double backoff_seconds = 0.1; ///< delay before retry #2
-  double backoff_factor = 2.0;  ///< multiplier per further retry
+  double backoff_seconds = 0.1; ///< delay before retry #2; doubles per retry
   double timeout_seconds = 0;   ///< per-attempt wall budget; 0 = unlimited
   int max_resumes = 64;         ///< timeout->checkpoint->resume cycles per job
 };

@@ -85,8 +85,8 @@ struct RoadrunnerConfig {
   int sort_period = 20;  ///< steps between bin sorts ([control] sort_every)
 
   /// Comm/compute overlap effectiveness, in [0, 1]: the fraction of the
-  /// exchange the overlapped step loop (docs/OVERLAP.md, [control]
-  /// `overlap`) hides behind the interior push. 0 models the barriered
+  /// exchange the overlapped step loop (docs/OVERLAP.md; on for every
+  /// multi-rank run) hides behind the interior push. 0 models the barriered
   /// schedule (every t_comm second exposed — the legacy t_step, exactly);
   /// 1 models a perfect scheduler that hides comm up to the interior-push
   /// budget. The hideable budget itself is bounded by the skin fraction:

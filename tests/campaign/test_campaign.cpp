@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -173,6 +174,37 @@ TEST(JobQueue, RetriesWithBackoffUntilBudgetThenFails) {
   ASSERT_EQ(status.size(), 1u);
   EXPECT_EQ(status[0].state, JobState::kFailed);
   EXPECT_EQ(status[0].last_error, "second crash");
+}
+
+TEST(JobQueue, BackoffDoublesPerRetry) {
+  Job job;
+  job.id = "j1";
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff_seconds = 0.02;
+  JobQueue queue({job}, policy);
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+
+  ASSERT_TRUE(queue.acquire().has_value());
+  // Lower bounds only: a slow host may hand the lease out later, never
+  // sooner. The clock is read before fail() starts the gate.
+  Clock::time_point failed_at = Clock::now();
+  ASSERT_TRUE(queue.fail("j1", "first crash"));
+  auto lease = queue.acquire();
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_EQ(lease->attempt, 2);
+  EXPECT_GE(seconds_since(failed_at), 0.02);
+
+  failed_at = Clock::now();
+  ASSERT_TRUE(queue.fail("j1", "second crash"));
+  lease = queue.acquire();
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_EQ(lease->attempt, 3);
+  EXPECT_GE(seconds_since(failed_at), 0.04);
+  EXPECT_FALSE(queue.fail("j1", "third crash"));
 }
 
 TEST(JobQueue, YieldResumeCarriesCheckpointAndHonorsBudget) {
